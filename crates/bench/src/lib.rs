@@ -9,7 +9,8 @@
 //!   experiments`) runs every figure's parameter sweep, measuring wall-clock
 //!   time *and* machine-independent work metrics, and prints one table per
 //!   figure in the same shape as the paper's plots;
-//! * the Criterion benches (`cargo bench -p twoknn-bench`) measure individual
+//! * the bench targets (`cargo bench -p twoknn-bench --bench <name>`, plain
+//!   `harness = false` binaries timed by [`micro`]) measure individual
 //!   algorithm invocations for a few representative points of each sweep.
 //!
 //! Dataset sizes follow the paper but are scaled down by default

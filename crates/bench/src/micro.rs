@@ -1,12 +1,12 @@
 //! A minimal micro-benchmark harness for the `benches/` targets.
 //!
-//! The workspace builds without external dependencies, so instead of
-//! Criterion the bench targets are plain `harness = false` binaries using
-//! this module: per benchmark it warms up once, runs a fixed number of
-//! samples, and prints min / median / max wall-clock milliseconds. The
-//! output is a stable, grep-friendly table — good enough for the relative
-//! comparisons these benches exist for (algorithm A vs algorithm B on the
-//! same workload), though without Criterion's statistical machinery.
+//! The workspace builds without external dependencies, so the bench targets
+//! are plain `harness = false` binaries using this module: per benchmark it
+//! warms up once, runs a fixed number of samples, and prints min / median /
+//! max wall-clock milliseconds. The output is a stable, grep-friendly table
+//! — good enough for the relative comparisons these benches exist for
+//! (algorithm A vs algorithm B on the same workload), though it does no
+//! outlier analysis or confidence intervals.
 
 use std::time::Instant;
 

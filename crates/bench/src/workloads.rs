@@ -1,5 +1,5 @@
-//! Workload construction shared by the experiment runners and the Criterion
-//! benches.
+//! Workload construction shared by the experiment runners and the bench
+//! targets.
 //!
 //! All datasets are produced by `twoknn-datagen` (the BerlinMOD substitute
 //! and the clustered generator documented in `DESIGN.md`) and indexed into a

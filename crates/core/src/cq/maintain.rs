@@ -24,6 +24,13 @@
 //!   and the fresh-guard install + dirty clear both happen under the
 //!   engine lock, so the window is closed exactly — and the publish path
 //!   stays O(writes × cell occupancy + dirty), never O(subscriptions).
+//! * **Read-your-writes fence**: [`CqEngine::sync`] waits on the engine's
+//!   `settled` condvar, which every finished publish and every applied
+//!   re-evaluation signals. Publishes take a ticket *before* the store
+//!   publishes and return it once the maintainer has processed them, so a
+//!   fence that has seen version `v` processed can also wait out every
+//!   publish that may precede `v` and is still being probed, and then every
+//!   re-evaluation those publishes scheduled.
 //! * **Lock order** is subscription-state → engine-state; the engine lock
 //!   is never held while taking a subscription lock.
 //!
@@ -39,7 +46,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use twoknn_geometry::Point;
 use twoknn_index::Metrics;
@@ -84,6 +92,9 @@ struct Subscription {
     /// dirty set, which is what the publish path consults).
     scheduled: AtomicU64,
     applied: AtomicU64,
+    /// Highest version the result reflects (monotone). Written under the
+    /// `state` lock; atomic so fences can read it under the engine lock.
+    version: AtomicU64,
     state: Mutex<SubState>,
 }
 
@@ -93,8 +104,6 @@ struct SubState {
     rows: BTreeMap<RowKey, Row>,
     /// Deltas emitted and not yet polled.
     pending: Vec<ResultDelta>,
-    /// Highest version the result reflects (monotone).
-    version: u64,
 }
 
 /// Registry + subscription table, guarded by the engine mutex.
@@ -107,6 +116,13 @@ struct EngineState {
     /// them unconditionally instead of scanning every subscription's
     /// epochs. Kept in lockstep with the epoch pair under this mutex.
     dirty: BTreeSet<SubscriptionId>,
+    /// Per relation: the highest published version the maintainer has
+    /// finished processing (guards probed, re-evaluations scheduled).
+    notified: HashMap<String, u64>,
+    /// Tickets of publishes begun but not yet processed.
+    in_flight: BTreeSet<u64>,
+    /// The last ticket handed out.
+    last_ticket: u64,
 }
 
 /// The engine behind [`Database`](crate::plan::Database)'s continuous-query
@@ -117,6 +133,9 @@ pub(crate) struct CqEngine {
     pool: Arc<WorkerPool>,
     metrics: Arc<Mutex<Metrics>>,
     state: Mutex<EngineState>,
+    /// Signalled (with the engine lock) whenever a publish finishes
+    /// processing or a re-evaluation applies — what fences wait on.
+    settled: Condvar,
     next_id: AtomicU64,
 }
 
@@ -135,7 +154,11 @@ impl CqEngine {
                 subs: HashMap::new(),
                 policy: MaintenancePolicy::default(),
                 dirty: BTreeSet::new(),
+                notified: HashMap::new(),
+                in_flight: BTreeSet::new(),
+                last_ticket: 0,
             }),
+            settled: Condvar::new(),
             next_id: AtomicU64::new(0),
         }
     }
@@ -196,10 +219,10 @@ impl CqEngine {
             strategy,
             scheduled: AtomicU64::new(0),
             applied: AtomicU64::new(0),
+            version: AtomicU64::new(version),
             state: Mutex::new(SubState {
                 rows: rows.iter().map(|r| (row_key(r), *r)).collect(),
                 pending: initial,
-                version,
             }),
         });
         {
@@ -238,6 +261,9 @@ impl CqEngine {
             .ok_or(QueryError::UnknownSubscription { id: id.0 })?;
         st.registry.remove(id);
         st.dirty.remove(&id);
+        drop(st);
+        // Fences waiting on this subscription report it unknown.
+        self.settled.notify_all();
         Ok(())
     }
 
@@ -255,7 +281,108 @@ impl CqEngine {
     pub(crate) fn result(&self, id: SubscriptionId) -> Result<(Vec<Row>, u64), QueryError> {
         let sub = self.find(id)?;
         let st = sub.state.lock().unwrap_or_else(PoisonError::into_inner);
-        Ok((st.rows.values().copied().collect(), st.version))
+        Ok((
+            st.rows.values().copied().collect(),
+            sub.version.load(Ordering::Acquire),
+        ))
+    }
+
+    /// Opens a publish: called before the store publishes an ingest batch,
+    /// so that until [`CqEngine::publish_done`] closes the returned ticket,
+    /// fences count the publish as possibly unprocessed.
+    pub(crate) fn begin_publish(&self) -> u64 {
+        let mut st = self.lock_state();
+        st.last_ticket += 1;
+        let ticket = st.last_ticket;
+        st.in_flight.insert(ticket);
+        ticket
+    }
+
+    /// Closes a publish once [`CqEngine::on_publish`] has processed it (or
+    /// the ingest failed): drops its ticket, records `version` as processed
+    /// for `relation`, and wakes fences. `ticket` is `None` when the engine
+    /// was created while the ingest was already under way.
+    pub(crate) fn publish_done(&self, ticket: Option<u64>, relation: &str, version: Option<u64>) {
+        let mut st = self.lock_state();
+        if let Some(ticket) = ticket {
+            st.in_flight.remove(&ticket);
+        }
+        if let Some(version) = version {
+            match st.notified.get_mut(relation) {
+                Some(v) => *v = (*v).max(version),
+                None => {
+                    st.notified.insert(relation.to_string(), version);
+                }
+            }
+        }
+        drop(st);
+        self.settled.notify_all();
+    }
+
+    /// The read-your-writes fence: blocks until subscription `id` reflects
+    /// every publish up to `min_version` of its relations, or `timeout`
+    /// passes ([`QueryError::SyncTimeout`]).
+    ///
+    /// Three stages, each waited for on the `settled` condvar:
+    /// 1. a publish at `min_version` or later of one of the subscription's
+    ///    relations has been processed, or the subscription was evaluated
+    ///    at such a version;
+    /// 2. every publish begun by then has been processed — a publish
+    ///    ordered before that version may still be probing guards;
+    /// 3. every re-evaluation scheduled by then has applied.
+    ///
+    /// A skipped publish needs no re-evaluation (its writes fall outside
+    /// the subscription's guards), so a fence on it returns once stage 2
+    /// holds. A version returned by `ingest` is a valid fence from any
+    /// thread.
+    pub(crate) fn sync(
+        &self,
+        id: SubscriptionId,
+        min_version: u64,
+        timeout: Duration,
+    ) -> Result<(), QueryError> {
+        let deadline = Instant::now() + timeout;
+        let mut horizon: Option<u64> = None;
+        let mut target: Option<u64> = None;
+        let mut st = self.lock_state();
+        loop {
+            let sub = st
+                .subs
+                .get(&id)
+                .cloned()
+                .ok_or(QueryError::UnknownSubscription { id: id.0 })?;
+            if horizon.is_none() {
+                let reflected = sub
+                    .spec
+                    .relations()
+                    .into_iter()
+                    .filter_map(|name| st.notified.get(name).copied())
+                    .fold(sub.version.load(Ordering::Acquire), u64::max);
+                if reflected >= min_version {
+                    horizon = Some(st.last_ticket);
+                }
+            }
+            if let Some(h) = horizon {
+                if target.is_none() && st.in_flight.range(..=h).next().is_none() {
+                    target = Some(sub.scheduled.load(Ordering::Acquire));
+                }
+            }
+            if target.is_some_and(|t| sub.applied.load(Ordering::Acquire) >= t) {
+                return Ok(());
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(QueryError::SyncTimeout {
+                    id: id.0,
+                    min_version,
+                });
+            }
+            st = self
+                .settled
+                .wait_timeout(st, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
     }
 
     /// Reacts to one published ingest batch: probe guards, count skips,
@@ -352,6 +479,8 @@ impl CqEngine {
     pub(crate) fn reevaluate_all_on(self: &Arc<Self>, relation: &str) {
         let to_run: Vec<Arc<Subscription>> = {
             let mut st = self.lock_state();
+            // A re-registered relation restarts its versions.
+            st.notified.remove(relation);
             let (all, _) = st.registry.all_on(relation);
             let subs: Vec<Arc<Subscription>> = all
                 .iter()
@@ -450,7 +579,7 @@ impl CqEngine {
             });
         }
         st.rows = fresh;
-        st.version = version;
+        sub.version.store(version, Ordering::Release);
 
         // Install the fresh guards, advance the applied epoch, and clear
         // the dirty mark in ONE engine-lock section: scheduling also
@@ -470,6 +599,7 @@ impl CqEngine {
                 est.dirty.remove(&sub.id);
             }
         }
+        self.settled.notify_all();
         drop(st);
         self.merge_metrics(&work);
     }

@@ -51,9 +51,22 @@
 //! Deltas are **keyed by the rows' point ids**: a retained row whose points
 //! merely moved is not re-reported. Accumulated deltas always reconstruct
 //! the from-scratch result of the subscription's query at the versions the
-//! maintainer evaluated; [`WorkerPool::wait_idle`](crate::exec::WorkerPool::wait_idle)
-//! makes that deterministic (every publish observed, one delta per batch
-//! that changed the result).
+//! maintainer evaluated. Re-evaluations run detached, so a reader that
+//! wants its own writes fences first:
+//!
+//! ```text
+//!  let (_, version) = db.ingest("Objects", &ops)?;
+//!  db.sync(sub, version, timeout)?;   // blocks on the maintainer's condvar
+//!  let deltas = db.poll(sub)?;        // now includes `ops`' effect
+//! ```
+//!
+//! [`Database::sync`](crate::plan::Database::sync) waits only for the
+//! re-evaluations the fenced publishes scheduled, and fails with a typed
+//! [`QueryError::SyncTimeout`](crate::error::QueryError::SyncTimeout) when
+//! they do not apply in time.
+//! [`WorkerPool::wait_idle`](crate::exec::WorkerPool::wait_idle) is the
+//! blunter tool: it awaits every job on the pool (every publish observed,
+//! one delta per batch that changed the result).
 
 mod guard;
 mod maintain;

@@ -71,6 +71,15 @@ pub enum QueryError {
         /// The raw subscription id.
         id: u64,
     },
+    /// A read-your-writes fence
+    /// ([`Database::sync`](crate::plan::Database::sync)) timed out: the
+    /// subscription did not reflect the requested version in time.
+    SyncTimeout {
+        /// The raw subscription id.
+        id: u64,
+        /// The version the fence waited for.
+        min_version: u64,
+    },
     /// A textual query failed to parse.
     Parse(ParseError),
 }
@@ -97,6 +106,10 @@ impl std::fmt::Display for QueryError {
             QueryError::UnknownSubscription { id } => {
                 write!(f, "unknown subscription `sub#{id}`")
             }
+            QueryError::SyncTimeout { id, min_version } => write!(
+                f,
+                "subscription `sub#{id}` did not reflect version {min_version} in time"
+            ),
             QueryError::Parse(err) => write!(f, "{err}"),
         }
     }
@@ -136,6 +149,12 @@ mod tests {
         assert!(QueryError::UnknownSubscription { id: 9 }
             .to_string()
             .contains("sub#9"));
+        assert!(QueryError::SyncTimeout {
+            id: 4,
+            min_version: 12
+        }
+        .to_string()
+        .contains("version 12"));
     }
 
     #[test]

@@ -354,11 +354,13 @@ impl Database {
 
     /// Opens (or creates) a **durable** database rooted at `dir`: every
     /// complete relation directory under it is recovered — shard block
-    /// files load as bases, the WAL's intact suffix replays on top — and
-    /// subsequent ingest is write-ahead-logged there. The `config`'s
-    /// durability is re-rooted at `dir` (enabling it with the default
-    /// sync policy if it was `Disabled`), so the caller controls sync
-    /// policy and segment size but never the directory mismatch.
+    /// files load as bases, and the WAL's intact suffix replays on top as
+    /// one batch, so each relation publishes once (version 1 after a
+    /// non-empty suffix, 0 otherwise) — and subsequent ingest is
+    /// write-ahead-logged there. The `config`'s durability is re-rooted
+    /// at `dir` (enabling it with the default sync policy if it was
+    /// `Disabled`), so the caller controls sync policy and segment size
+    /// but never the directory mismatch.
     ///
     /// Corrupt manifests or block files surface as
     /// [`RecoveryError::Corrupt`] rather than a panic; a torn WAL tail is
@@ -517,16 +519,24 @@ impl Database {
 
     /// The shared ingest step: applies the batch through the store, then
     /// notifies the continuous-query maintainer (if any) of the publish.
+    /// The maintainer's publish ticket is taken before the store publishes,
+    /// so [`Database::sync`] can wait out publishes still being probed.
     fn ingest_receipt(
         &self,
         name: &str,
         ops: &[WriteOp],
     ) -> Result<crate::store::IngestReceipt, QueryError> {
-        let receipt = self.store.ingest_with_receipt(name, ops, &self.pool)?;
+        let ticket = self.cq.get().map(|cq| cq.begin_publish());
+        let receipt = self.store.ingest_with_receipt(name, ops, &self.pool);
+        // Looked up again after the publish: an engine created meanwhile
+        // must still see it (its subscribe pinned the old version).
         if let Some(cq) = self.cq.get() {
-            cq.on_publish(name, ops, &receipt);
+            if let Ok(receipt) = &receipt {
+                cq.on_publish(name, ops, receipt);
+            }
+            cq.publish_done(ticket, name, receipt.as_ref().ok().map(|r| r.version));
         }
-        Ok(receipt)
+        receipt
     }
 
     /// Inserts a point (replacing any existing point with the same id).
@@ -595,8 +605,9 @@ impl Database {
     /// [`ResultDelta`] (all rows `added`), so folding every polled delta in
     /// order reconstructs the standing query's current result from nothing.
     /// Re-evaluations run as detached jobs on this database's
-    /// [`WorkerPool`]; [`WorkerPool::wait_idle`] deterministically awaits
-    /// them (on a parallelism-1 pool they run inline in `ingest`).
+    /// [`WorkerPool`] (inline in `ingest` on a parallelism-1 pool);
+    /// [`Database::sync`] awaits the ones an ingest scheduled, and
+    /// [`WorkerPool::wait_idle`] awaits everything on the pool.
     ///
     /// The pinned strategy is not re-optimized as the data drifts;
     /// re-subscribe to re-plan. Deltas are keyed by row point-ids — a
@@ -615,8 +626,35 @@ impl Database {
 
     /// Drains a subscription's emitted-and-unpolled [`ResultDelta`]s, in
     /// emission order. Empty when nothing changed since the last poll.
+    ///
+    /// Re-evaluations run detached, so a poll right after `ingest` may not
+    /// see that batch yet; fence with [`Database::sync`] first to read your
+    /// own writes.
     pub fn poll(&self, id: SubscriptionId) -> Result<Vec<ResultDelta>, QueryError> {
         self.cq().poll(id)
+    }
+
+    /// The read-your-writes fence for standing queries: blocks until the
+    /// subscription reflects every publish of its relations up to
+    /// `min_version` — typically the version [`Database::ingest`] returned
+    /// — so the next [`Database::poll`] or
+    /// [`Database::subscription_result`] includes those writes.
+    ///
+    /// The wait is on the maintainer's condvar, signalled when a publish
+    /// has been probed and when a re-evaluation applies: the fence returns
+    /// once every re-evaluation those publishes scheduled has finished
+    /// (immediately, if the guards skipped them all). It fails with
+    /// [`QueryError::SyncTimeout`] when `timeout` passes first — e.g. a
+    /// referenced relation was deregistered, so no re-evaluation can
+    /// apply — and with [`QueryError::UnknownSubscription`] when the
+    /// subscription is dropped.
+    pub fn sync(
+        &self,
+        id: SubscriptionId,
+        min_version: u64,
+        timeout: std::time::Duration,
+    ) -> Result<(), QueryError> {
+        self.cq().sync(id, min_version, timeout)
     }
 
     /// Drops a standing query; its pending deltas are discarded.

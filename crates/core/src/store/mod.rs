@@ -41,8 +41,9 @@
 //!   publish, compacted shard bases are spilled as immutable on-disk block
 //!   files ([`BlockFileIndex`]), and [`RelationStore::open`] rebuilds the
 //!   catalog after a crash by loading the block files and replaying each
-//!   WAL's intact suffix. Disabled by default — the in-memory store pays
-//!   nothing for the feature it isn't using.
+//!   WAL's intact suffix, folded into one batch and published once per
+//!   relation. Disabled by default — the in-memory store pays nothing for
+//!   the feature it isn't using.
 //!
 //! ```text
 //!    writers                           readers
@@ -261,8 +262,9 @@ impl RelationStore {
 
     /// Opens a durable store rooted at the configured directory, rebuilding
     /// the relation catalog from the persisted block files and replaying
-    /// each relation's WAL suffix (see [`recover`](self)). With durability
-    /// disabled this is just [`RelationStore::new`].
+    /// each relation's WAL suffix as one batch, published once (see
+    /// [`recover`](self)). With durability disabled this is just
+    /// [`RelationStore::new`].
     pub fn open(config: StoreConfig) -> Result<Self, RecoveryError> {
         let DurabilityConfig::Enabled {
             dir,
@@ -275,15 +277,17 @@ impl RelationStore {
         let metrics = Arc::new(Mutex::new(Metrics::default()));
         let obs = Arc::new(Observability::new(config.trace));
         let start = Instant::now();
-        let relations =
+        let (relations, replayed) =
             recover::recover_relations(dir, *sync, *segment_bytes, &config, &metrics, &obs)?;
         obs.record(HistogramKind::Recovery, start.elapsed());
         obs.event(
             EventKind::Recovery,
             format!(
-                "{} relation(s) recovered from {}",
+                "{} relation(s) recovered from {}; {} WAL record(s) ({} op(s)) replayed",
                 relations.len(),
-                dir.display()
+                dir.display(),
+                replayed.records,
+                replayed.ops
             ),
         );
         Ok(Self {
@@ -314,6 +318,13 @@ impl RelationStore {
         config: IndexConfig,
     ) -> Option<Arc<RelationSnapshot>> {
         let name = name.into();
+        // A replaced durable relation must stop writing into the directory
+        // `create` below wipes and starts afresh.
+        if let Ok(replaced) = self.get(&name) {
+            if let Some(d) = replaced.durability() {
+                d.retire();
+            }
+        }
         let durability = match &self.config.durability {
             DurabilityConfig::Disabled => None,
             DurabilityConfig::Enabled {
@@ -548,6 +559,23 @@ impl RelationStore {
     /// `drain_events`, `drain_traces`, `set_tracing`) instead.
     pub fn obs(&self) -> &Arc<Observability> {
         &self.obs
+    }
+}
+
+impl Drop for RelationStore {
+    /// Retires every durable relation, so a background rebuild that
+    /// outlives the store cannot rewrite a directory that is being
+    /// reopened.
+    fn drop(&mut self) {
+        let relations = self
+            .relations
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for rel in relations.values() {
+            if let Some(d) = rel.durability() {
+                d.retire();
+            }
+        }
     }
 }
 

@@ -21,13 +21,17 @@
 //!
 //! [`recover_relations`] opens each relation directory: block files become
 //! the shard bases (checksum-verified, columns decoded lazily), the WAL is
-//! scanned (torn tail truncated), and every record with a sequence number
-//! past the *minimum* shard `covered_seq` is replayed through the ingest
-//! path in replay mode. Replaying a record a shard already covers is
-//! idempotent on the visible set, and replay mode additionally retracts the
-//! stale copy of a point whose cross-shard move was persisted by one shard
-//! but not the other — shards checkpoint independently, so their bases may
-//! cover different WAL prefixes.
+//! scanned (torn tail truncated), and the ops of every record with a
+//! sequence number past the *minimum* shard `covered_seq` are folded, in
+//! log order, into **one** batch. That batch goes through the ingest path
+//! in replay mode once: one route, one apply per touched shard, and one
+//! publish per relation, however long the suffix. A batch applies as its
+//! ops in order, so this equals replaying the records one by one.
+//! Replaying an op a shard already covers is idempotent on the visible
+//! set, and replay mode additionally retracts the stale copy of a point
+//! whose cross-shard move was persisted by one shard but not the other —
+//! shards checkpoint independently, so their bases may cover different WAL
+//! prefixes.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -295,6 +299,9 @@ struct DurState {
     /// in-memory base (a persist failed). Checkpoints must not advance such
     /// a shard's `covered_seq` — the WAL keeps it correct instead.
     stale: Vec<bool>,
+    /// Set once the store lets go of the relation (store dropped, relation
+    /// deregistered or replaced): nothing more is written to the directory.
+    retired: bool,
 }
 
 /// The durable state of one relation: its directory, WAL, and manifest.
@@ -353,6 +360,7 @@ impl RelationDurability {
                 },
                 gen: 0,
                 stale: vec![false; per_axis * per_axis],
+                retired: false,
             }),
             metrics,
             obs,
@@ -397,6 +405,7 @@ impl RelationDurability {
                     manifest: manifest.clone(),
                     gen,
                     stale: vec![false; nshards],
+                    retired: false,
                 }),
                 metrics,
                 obs,
@@ -435,6 +444,7 @@ impl RelationDurability {
     /// On failure the shard is marked stale: its manifest entry keeps the
     /// old (still correct) generation and checkpoints stop advancing its
     /// `covered_seq`, so the WAL suffix keeps carrying the missing ops.
+    /// A no-op once the relation is [retired](RelationDurability::retire).
     pub(crate) fn persist_shard(
         &self,
         s: usize,
@@ -442,6 +452,9 @@ impl RelationDurability {
         covered_seq: u64,
     ) -> std::io::Result<()> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.retired {
+            return Ok(());
+        }
         state.gen += 1;
         let file = format!("shard-{s}-{}.blk", state.gen);
         let result = write_block_file(&self.dir.join(&file), base).and_then(|_| {
@@ -480,10 +493,13 @@ impl RelationDurability {
 
     /// Rewrites the manifest from the in-memory state and deletes WAL
     /// segments every shard's `covered_seq` has moved past. Returns the
-    /// number of segments trimmed.
+    /// number of segments trimmed (none once retired).
     pub(crate) fn sync_manifest_and_trim(&self) -> std::io::Result<usize> {
         let min_covered = {
             let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            if state.retired {
+                return Ok(0);
+            }
             state.manifest.write_to(&self.dir)?;
             state
                 .manifest
@@ -506,8 +522,21 @@ impl RelationDurability {
         Ok(trimmed)
     }
 
-    /// Deletes the relation's directory (deregistration).
+    /// Stops all block-file and manifest writes. A background rebuild
+    /// holds only its relation, so it can outlive the store that scheduled
+    /// it; once retired it publishes in memory only and leaves the
+    /// directory to whoever reopens or re-registers it. Waits for an
+    /// in-progress persist to finish.
+    pub(crate) fn retire(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retired = true;
+    }
+
+    /// Retires the relation and deletes its directory (deregistration).
     pub(crate) fn wipe(&self) {
+        self.retire();
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
@@ -521,10 +550,19 @@ impl std::fmt::Debug for RelationDurability {
     }
 }
 
+/// The WAL suffix a store open replayed, summed over its relations.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Replayed {
+    /// WAL records past their relation's minimum `covered_seq`.
+    pub records: usize,
+    /// The write ops those records carried.
+    pub ops: usize,
+}
+
 /// Rebuilds the relation catalog from a durable store directory: for every
 /// complete relation directory, opens the manifest, loads the shard block
 /// files as bases, and replays the WAL suffix past the minimum persisted
-/// `covered_seq` through replay-mode ingest.
+/// `covered_seq` through replay-mode ingest, as one batch per relation.
 pub(crate) fn recover_relations(
     root: &Path,
     sync: SyncPolicy,
@@ -532,10 +570,11 @@ pub(crate) fn recover_relations(
     config: &StoreConfig,
     metrics: &Arc<Mutex<Metrics>>,
     obs: &Arc<Observability>,
-) -> Result<HashMap<String, Arc<VersionedRelation>>, RecoveryError> {
+) -> Result<(HashMap<String, Arc<VersionedRelation>>, Replayed), RecoveryError> {
     let mut out = HashMap::new();
+    let mut replayed = Replayed::default();
     if !root.is_dir() {
-        return Ok(out);
+        return Ok((out, replayed));
     }
     let mut dirs: Vec<PathBuf> = Vec::new();
     for entry in std::fs::read_dir(root).map_err(|e| io_err(root, e))? {
@@ -556,13 +595,16 @@ pub(crate) fn recover_relations(
         if !dir.join(MANIFEST_NAME).exists() {
             continue;
         }
-        let rel = recover_relation(&dir, sync, segment_bytes, config, metrics, obs)?;
+        let (rel, rel_replayed) =
+            recover_relation(&dir, sync, segment_bytes, config, metrics, obs)?;
         let mut m = metrics.lock().unwrap_or_else(PoisonError::into_inner);
         m.recoveries += 1;
         drop(m);
+        replayed.records += rel_replayed.records;
+        replayed.ops += rel_replayed.ops;
         out.insert(rel.name().to_string(), rel);
     }
-    Ok(out)
+    Ok((out, replayed))
 }
 
 fn recover_relation(
@@ -572,7 +614,7 @@ fn recover_relation(
     config: &StoreConfig,
     metrics: &Arc<Mutex<Metrics>>,
     obs: &Arc<Observability>,
-) -> Result<Arc<VersionedRelation>, RecoveryError> {
+) -> Result<(Arc<VersionedRelation>, Replayed), RecoveryError> {
     let (dur, manifest, records) = RelationDurability::open(
         dir,
         sync,
@@ -605,12 +647,19 @@ fn recover_relation(
         config,
         Arc::new(dur),
     ));
-    for (seq, ops) in &records {
-        if *seq > min_covered {
-            rel.ingest_replay(ops);
-        }
+    // Fold the suffix into one ordered batch, moving the ops out of the
+    // records, and publish it once.
+    let mut replayed = Replayed::default();
+    let mut batch: Vec<WriteOp> = Vec::new();
+    for (_, ops) in records.into_iter().filter(|(seq, _)| *seq > min_covered) {
+        replayed.records += 1;
+        batch.extend(ops);
     }
-    Ok(rel)
+    replayed.ops = batch.len();
+    if !batch.is_empty() {
+        rel.ingest_replay(&batch);
+    }
+    Ok((rel, replayed))
 }
 
 #[cfg(test)]
@@ -647,6 +696,40 @@ mod tests {
         assert!(Manifest::decode(&bytes).is_err(), "bit flip must be caught");
         assert!(Manifest::decode(&bytes[..6]).is_err());
         assert!(Manifest::decode(b"not a manifest at all").is_err());
+    }
+
+    #[test]
+    fn a_retired_relation_writes_nothing_more() {
+        let root = std::env::temp_dir().join(format!("twoknn-retire-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dur = RelationDurability::create(
+            &root,
+            "R",
+            IndexConfig::Grid { cells_per_axis: 2 },
+            1,
+            Rect::new(0.0, 0.0, 1.0, 1.0),
+            SyncPolicy::Never,
+            1 << 20,
+            Arc::new(Mutex::new(Metrics::default())),
+            Arc::new(Observability::new(crate::obs::TraceConfig::default())),
+        )
+        .unwrap();
+        let base =
+            twoknn_index::GridIndex::build(vec![twoknn_geometry::Point::new(1, 0.5, 0.5)], 2)
+                .unwrap();
+        dur.persist_shard(0, &base, 0).unwrap();
+        let dir = root.join(relation_dir_name("R"));
+        let committed = Manifest::read_from(&dir).unwrap();
+
+        dur.retire();
+        dur.persist_shard(0, &base, 7).unwrap();
+        assert_eq!(dur.sync_manifest_and_trim().unwrap(), 0);
+        assert_eq!(Manifest::read_from(&dir).unwrap(), committed);
+        assert!(
+            !dir.join("shard-0-2.blk").exists(),
+            "no block file after retirement"
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -293,15 +293,18 @@ impl VersionedRelation {
         self.ingest_full(ops, false)
     }
 
-    /// Recovery-time ingest: applies a WAL record through the normal routing
-    /// and publish machinery but (a) never re-appends to the WAL and (b)
-    /// retracts *every* stale copy of a touched id. Shards persist their
-    /// bases independently, so after a crash a moved point can be visible in
-    /// two shards at once (old position in a shard persisted before the
-    /// move, new position in one persisted after); the move op itself has a
+    /// Recovery-time ingest: applies the WAL suffix — every replayed
+    /// record's ops folded in log order into one batch — through the normal
+    /// routing and publish machinery, publishing once. It (a) never
+    /// re-appends to the WAL and (b) retracts *every* stale copy of an id
+    /// on the batch's first touch of it. Shards persist their bases
+    /// independently, so after a crash a moved point can be visible in two
+    /// shards at once (old position in a shard persisted before the move,
+    /// new position in one persisted after); the move op itself has a
     /// sequence number past the less-advanced shard's `covered_seq`, so it
-    /// is guaranteed to be among the replayed records and cleans up the
-    /// duplicate here.
+    /// is guaranteed to be in the replayed suffix and cleans up the
+    /// duplicate here. After that first touch the id is in at most one
+    /// shard, and the batch's own routing tracks it exactly.
     pub(crate) fn ingest_replay(&self, ops: &[WriteOp]) {
         self.ingest_full(ops, true);
     }
@@ -321,67 +324,56 @@ impl VersionedRelation {
         let shard_snaps: Vec<Arc<ShardSnapshot>> =
             self.shards.iter().map(ShardState::snapshot).collect();
         let mut where_is: HashMap<PointId, Option<usize>> = HashMap::new();
-        let locate_id =
-            |where_is: &HashMap<PointId, Option<usize>>, id: PointId| match where_is.get(&id) {
-                Some(loc) => *loc,
-                None => shard_snaps.iter().position(|s| s.contains_id(id)),
-            };
-
         let mut sub: Vec<Vec<WriteOp>> = vec![Vec::new(); nshards];
-        // In replay mode: pushes retractions for every shard beyond the
-        // first that still holds `id` — live ingest maintains the ≤ 1-shard
-        // invariant, but independently persisted shard bases can briefly
-        // break it (see `ingest_replay`). `known` distinguishes ids the
-        // batch itself already settled (the first touching op cleaned up).
-        let retract_stale =
-            |sub: &mut Vec<Vec<WriteOp>>, id: PointId, keep: Option<usize>, known: bool| {
-                if !replay || known {
-                    return;
-                }
-                for (s, snap) in shard_snaps.iter().enumerate() {
-                    if Some(s) != keep && snap.contains_id(id) {
-                        sub[s].push(WriteOp::Remove(id));
-                    }
-                }
-            };
         // Per op: the (shard, sub-batch index) of its primary sub-op, `None`
         // for ineffective removes that route nowhere.
         let mut primary: Vec<Option<(usize, usize)>> = Vec::with_capacity(ops.len());
         let mut visible_before = Vec::with_capacity(ops.len());
+        // The shards holding the op's id before it applies. Live ingest
+        // keeps an id in at most one shard, and so does the batch once it
+        // has touched the id (`where_is`). Replay mode collects *every*
+        // holder on an id's first touch, in one pass over the shards:
+        // independently persisted shard bases can briefly hold an id twice
+        // (see `ingest_replay`), and the first touch retracts the stale
+        // copies.
+        let mut holders: Vec<usize> = Vec::new();
         for op in ops {
+            let id = match op {
+                WriteOp::Upsert(p) => p.id,
+                WriteOp::Remove(id) => *id,
+            };
+            holders.clear();
+            match where_is.get(&id) {
+                Some(loc) => holders.extend(*loc),
+                None if replay => {
+                    holders.extend((0..nshards).filter(|&s| shard_snaps[s].contains_id(id)))
+                }
+                None => holders.extend(shard_snaps.iter().position(|s| s.contains_id(id))),
+            }
+            let old = holders.first().copied();
+            visible_before.push(old.is_some());
             match op {
                 WriteOp::Upsert(p) => {
-                    let known = where_is.contains_key(&p.id);
                     let target = self.map.shard_of(p);
-                    let old = locate_id(&where_is, p.id);
-                    visible_before.push(old.is_some());
-                    if let Some(o) = old {
-                        if o != target {
-                            // Cross-shard move: retract from the old shard in
-                            // the same publish.
-                            sub[o].push(WriteOp::Remove(p.id));
+                    // Retract the id from every holder but an unmoved one:
+                    // a cross-shard move removes from the old shard in the
+                    // same publish.
+                    let keep = old.filter(|&o| o == target);
+                    for &h in &holders {
+                        if Some(h) != keep {
+                            sub[h].push(WriteOp::Remove(id));
                         }
                     }
-                    // Replay: also retract stale duplicates from any shard
-                    // that is neither the routed-from nor the target shard.
-                    retract_stale(&mut sub, p.id, old.filter(|o| *o == target), known);
                     primary.push(Some((target, sub[target].len())));
                     sub[target].push(*op);
-                    where_is.insert(p.id, Some(target));
+                    where_is.insert(id, Some(target));
                 }
-                WriteOp::Remove(id) => {
-                    let known = where_is.contains_key(id);
-                    let old = locate_id(&where_is, *id);
-                    visible_before.push(old.is_some());
-                    match old {
-                        Some(o) => {
-                            primary.push(Some((o, sub[o].len())));
-                            sub[o].push(*op);
-                            where_is.insert(*id, None);
-                        }
-                        None => primary.push(None),
+                WriteOp::Remove(_) => {
+                    primary.push(old.map(|o| (o, sub[o].len())));
+                    for &h in &holders {
+                        sub[h].push(*op);
                     }
-                    retract_stale(&mut sub, *id, old, known);
+                    where_is.insert(id, None);
                 }
             }
         }

@@ -56,10 +56,13 @@ pub enum SyncPolicy {
     EveryN(u32),
 }
 
-/// IEEE CRC32 (the zlib/PNG polynomial), table-driven, computed at compile
-/// time — the workspace takes no external dependencies.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// IEEE CRC32 (the zlib/PNG polynomial), slice-by-8, with its tables
+/// computed at compile time — the workspace takes no external
+/// dependencies. `CRC32_TABLES[0]` is the classic bytewise table;
+/// `CRC32_TABLES[k][b]` advances the CRC of byte `b` through `k` further
+/// zero bytes, so eight table lookups consume eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -72,19 +75,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 checksum of `bytes` (IEEE polynomial).
+/// CRC32 checksum of `bytes` (IEEE polynomial): eight bytes per step, then
+/// the tail bytewise.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = u32::MAX;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -447,6 +475,49 @@ mod tests {
         // Standard IEEE CRC32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// Bytewise, bit-at-a-time IEEE CRC32 — shares no table with `crc32`.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut c = u32::MAX;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_a_bytewise_reference() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..(1 << 20) + 16)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        // Every length across the 8-byte step and its tail, at every
+        // offset modulo 8.
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_reference(slice),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+        let mib = &bytes[3..3 + (1 << 20)];
+        assert_eq!(crc32(mib), crc32_reference(mib));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! point must trigger **zero** re-evaluations.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use two_knn::core::exec::available_threads;
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
@@ -413,4 +414,63 @@ fn far_write_burst_triggers_zero_reevaluations() {
         hit.cq_reevals > after.cq_reevals,
         "a focal-region write must trigger at least one re-evaluation"
     );
+}
+
+/// The read-your-writes fence: once `sync` returns for the version an
+/// ingest returned, every subscription's maintained result equals a fresh
+/// execution — on any pool size, without `wait_idle`. A publish the guards
+/// skip fences too; a version nobody publishes times out with a typed
+/// error, and a dropped subscription is reported unknown.
+#[test]
+fn sync_fences_read_your_writes() {
+    let pool = WorkerPool::new(available_threads());
+    let mut db = Database::with_pool_and_store_config(
+        pool,
+        StoreConfig {
+            compaction_threshold: 24,
+            ..StoreConfig::default()
+        },
+    );
+    catalog(&mut db, "grid");
+    let db = db;
+    let specs = standing_queries();
+    let subs: Vec<SubscriptionId> = specs
+        .iter()
+        .map(|spec| db.subscribe(spec, None).unwrap())
+        .collect();
+    let timeout = Duration::from_secs(60);
+
+    for round in 0..6u64 {
+        let (_, version) = db.ingest("Objects", &mixed_batch(round)).unwrap();
+        for (spec, id) in specs.iter().zip(&subs) {
+            db.sync(*id, version, timeout).unwrap();
+            let (rows, _) = db.subscription_result(*id).unwrap();
+            let mut maintained: Vec<Vec<u64>> = rows.iter().map(|r| r.ids()).collect();
+            maintained.sort_unstable();
+            assert_eq!(
+                maintained,
+                id_rows(&db.execute(spec).unwrap()),
+                "round {round}: {id} diverged after its fence"
+            );
+        }
+    }
+
+    // A far write the two-selects guard skips still fences.
+    let (_, far) = db
+        .ingest(
+            "Objects",
+            &[WriteOp::Upsert(Point::new(990_000, 700.0, 700.0))],
+        )
+        .unwrap();
+    db.sync(subs[0], far, timeout).unwrap();
+
+    assert!(matches!(
+        db.sync(subs[0], far + 1_000, Duration::from_millis(20)),
+        Err(QueryError::SyncTimeout { min_version, .. }) if min_version == far + 1_000
+    ));
+    db.unsubscribe(subs[0]).unwrap();
+    assert!(matches!(
+        db.sync(subs[0], far, timeout),
+        Err(QueryError::UnknownSubscription { .. })
+    ));
 }

@@ -17,7 +17,7 @@ use two_knn::core::plan::{Database, QuerySpec};
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{DurabilityConfig, ShardConfig, StoreConfig, SyncPolicy, WriteOp};
-use two_knn::core::RecoveryError;
+use two_knn::core::{RecoveryError, WorkerPool};
 use two_knn::{GridIndex, Point, QuadtreeIndex, SpatialIndex, StrRTree};
 
 /// A process-unique scratch directory, removed on drop (best-effort — a
@@ -506,4 +506,147 @@ fn cross_shard_move_replays_atomically() {
         pts.iter().all(|p| p.id != 77_777),
         "nothing of the torn batch replays"
     );
+}
+
+/// Each shard's `covered_seq`, parsed from the relation's MANIFEST
+/// (`TKMF [len][crc] name, index config, per_axis, bounds, shards`).
+fn covered_seqs(rel: &Path) -> Vec<u64> {
+    let buf = std::fs::read(rel.join("MANIFEST")).unwrap();
+    let u32_at = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+    assert_eq!(&buf[..4], b"TKMF");
+    let mut at = 12;
+    at += 4 + u32_at(at); // name
+    at += 17 + 8 + 32; // index config, per_axis, bounds
+    let nshards = u32_at(at);
+    at += 4;
+    (0..nshards)
+        .map(|_| {
+            let seq = u64_at(at);
+            at += 8;
+            at += 4 + u32_at(at); // block file name
+            seq
+        })
+        .collect()
+}
+
+/// The shard currently holding `id`, if it is visible.
+fn shard_holding(db: &Database, id: u64) -> Option<usize> {
+    db.relation("Objects")
+        .unwrap()
+        .shards()
+        .iter()
+        .position(|s| s.contains_id(id))
+}
+
+/// Recovery folds the whole WAL suffix into one replay batch. On a 4×4
+/// relation whose shards persisted their bases at different WAL positions,
+/// the suffix holds cross-shard moves there and back (one of them persisted
+/// by its target shard only, so the base images hold the point twice), a
+/// remove followed by a re-upsert of the same id (across records and within
+/// one), and ids repeated within one record. The reopened relation must
+/// equal a never-crashed twin, keep every shard invariant, publish exactly
+/// once, and reopen again to the same points.
+#[test]
+fn folded_replay_matches_a_never_crashed_instance() {
+    let tmp = TempDir::new("folded");
+    // Threshold 4: a shard whose delta reaches four entries compacts — on
+    // a one-thread pool, inline — and persists its base at the WAL head.
+    let cfg = StoreConfig {
+        compaction_threshold: 4,
+        sharding: ShardConfig::per_axis(4),
+        durability: DurabilityConfig::at(tmp.path()),
+        ..StoreConfig::default()
+    };
+    // A 20×20 lattice over [2.5, 97.5]²: shard cells are 23.75 wide.
+    let initial: Vec<Point> = (0..400u64)
+        .map(|i| Point::new(i, 2.5 + (i % 20) as f64 * 5.0, 2.5 + (i / 20) as f64 * 5.0))
+        .collect();
+    // w at (87.5, 87.5), x at (12.5, 12.5), y at (12.5, 87.5), z at (7.5, 92.5).
+    let (w, x, y, z) = (357, 42, 342, 361);
+    let fresh = |base: u64, cx: f64, cy: f64| -> Vec<WriteOp> {
+        (0..4)
+            .map(|i| WriteOp::Upsert(Point::new(base + i, cx + i as f64, cy)))
+            .collect()
+    };
+    let up = |id: u64, px: f64, py: f64| WriteOp::Upsert(Point::new(id, px, py));
+    let records: Vec<Vec<WriteOp>> = vec![
+        // w moves NE → SW for good; four fresh SW points then compact SW
+        // only, so SW's base holds w while NE's (never compacted) still
+        // holds it. SW is shard 0, so on replay the stale NE copy is a
+        // holder the move itself does not retract.
+        vec![up(w, 13.0, 13.0)],
+        fresh(10_000, 8.0, 10.0),
+        // x moves there and back, repeatedly, within one record.
+        vec![
+            up(x, 86.0, 86.0),
+            up(x, 14.0, 14.0),
+            up(x, 88.0, 88.0),
+            up(x, 15.0, 15.0),
+        ],
+        // Remove + re-upsert: y within one record (landing in SE), z
+        // across two records.
+        vec![WriteOp::Remove(y), up(y, 87.0, 12.0)],
+        vec![WriteOp::Remove(z)],
+        vec![up(z, 8.0, 91.0)],
+        // SE compacts at a later WAL position, persisting y…
+        fresh(20_000, 80.0, 8.0),
+        // …which then moves back to NW.
+        vec![up(y, 10.0, 80.0)],
+        // Repeated ids with a remove and re-upsert inside one record.
+        vec![
+            up(x, 85.0, 85.0),
+            WriteOp::Remove(x),
+            up(x, 80.0, 20.0),
+            up(10_001, 60.0, 40.0),
+            WriteOp::Remove(10_001),
+        ],
+    ];
+
+    let mut memory = Database::with_store_config(StoreConfig {
+        durability: DurabilityConfig::Disabled,
+        ..cfg.clone()
+    });
+    memory.register("Objects", GridIndex::build(initial.clone(), 8).unwrap());
+    {
+        let mut durable = Database::with_pool_and_store_config(WorkerPool::new(1), cfg.clone());
+        durable.register("Objects", GridIndex::build(initial.clone(), 8).unwrap());
+        let ne = shard_holding(&durable, w).unwrap();
+        for (i, ops) in records.iter().enumerate() {
+            durable.ingest("Objects", ops).unwrap();
+            memory.ingest("Objects", ops).unwrap();
+            if i == 0 {
+                assert_eq!(shard_holding(&durable, w), Some(0), "w moved into shard 0");
+                assert_ne!(ne, 0);
+            }
+        }
+        assert_eq!(durable.store_metrics().wal_appends, records.len() as u64);
+        assert!(durable.store_metrics().shards_compacted >= 2);
+        // Crash: dropped without a checkpoint.
+    }
+    let covered = covered_seqs(&rel_dir(tmp.path(), "Objects"));
+    let distinct: std::collections::BTreeSet<u64> = covered.iter().copied().collect();
+    assert!(
+        distinct.len() >= 3 && distinct.contains(&0),
+        "shards must persist at different WAL positions: {covered:?}"
+    );
+
+    let expected = visible_points(&memory, "Objects");
+    for reopen in 1..=2 {
+        let db = Database::open(tmp.path(), cfg.clone()).unwrap();
+        let snap = db.relation("Objects").unwrap();
+        snap.check_overlay_invariants()
+            .unwrap_or_else(|e| panic!("reopen {reopen}: {e}"));
+        assert_eq!(
+            snap.version(),
+            1,
+            "reopen {reopen}: the suffix of {} records publishes once",
+            records.len()
+        );
+        assert_eq!(
+            visible_points(&db, "Objects"),
+            expected,
+            "reopen {reopen}: visible set diverged from the never-crashed twin"
+        );
+    }
 }

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use two_knn::core::plan::{Database, QueryFilters, QuerySpec};
 use two_knn::core::select_join::SelectInnerJoinQuery;
@@ -456,7 +457,9 @@ fn subscribe_query_maintains_the_filtered_result_under_ingest() {
         for i in 0..3u64 {
             ops.push(WriteOp::Remove((round * 91 + i * 29) % 300));
         }
-        db.ingest("Objects", &ops).unwrap();
+        let (_, version) = db.ingest("Objects", &ops).unwrap();
+        // Re-evaluations run detached: fence on the ingest's version.
+        db.sync(sub, version, Duration::from_secs(60)).unwrap();
 
         apply_deltas(&mut acc, &db.poll(sub).unwrap());
         assert_eq!(

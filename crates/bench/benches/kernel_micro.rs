@@ -10,11 +10,14 @@
 //!   kernel ([`twoknn_index::KthHeap::scan_block`]) vs the gather-and-sort
 //!   per-block baseline the batched path replaced;
 //! * **get_knn** — the end-to-end select hot path:
-//!   [`twoknn_index::get_knn_in`] (batched, τ-pruned, shared scratch) vs
+//!   [`twoknn_index::get_knn_in`] (MINDIST walk, batched τ-gated scan,
+//!   shared scratch) vs
 //!   [`twoknn_index::get_knn_scalar`] (pre-SoA gather).
 //!
 //! Besides the usual min/median/max table, every kernel prints its
-//! throughput in points/µs and the batched-over-scalar speedup.
+//! throughput in points/µs and the batched-over-scalar speedup. Batched and
+//! scalar samples are interleaved (`BenchGroup::bench_pair`), so a slow
+//! phase of the machine lands on both sides of a comparison.
 //!
 //! Usage: `cargo bench -p twoknn-bench --bench kernel_micro --
 //! [--points N] [--smoke]`
@@ -116,7 +119,10 @@ fn main() {
     let rows = scatter(n_points, 0xB10C);
     let block = PointBlock::from_points(&rows);
     let queries = query_points(16);
-    let mut group = BenchGroup::new("kernel_micro").sample_size(if smoke { 5 } else { 10 });
+    // Every kernel is timed as an interleaved A/B pair (batched and scalar
+    // alternate sample by sample), and the smoke run takes enough samples
+    // that one bad scheduling window cannot move a median by itself.
+    let mut group = BenchGroup::new("kernel_micro").sample_size(if smoke { 15 } else { 10 });
     let mut kernels: Vec<Kernel> = Vec::new();
 
     // --- scan: the distance pass at block granularity ----------------------
@@ -129,22 +135,27 @@ fn main() {
     let hot_rows = &rows[..SCAN_BLOCK];
     let reps = n_points / SCAN_BLOCK;
     let mut dist = vec![0.0f64; SCAN_BLOCK];
-    let scan_batched = group.bench("scan/batched_soa", || {
-        for q in &queries {
-            for _ in 0..reps {
-                euclidean_sq_batch(q.x, q.y, hot.view().xs(), hot.view().ys(), &mut dist);
-                std::hint::black_box(dist[SCAN_BLOCK / 2]);
+    let mut scalar_dist = vec![0.0f64; SCAN_BLOCK];
+    let (scan_batched, scan_scalar) = group.bench_pair(
+        "scan/batched_soa",
+        || {
+            for q in &queries {
+                for _ in 0..reps {
+                    euclidean_sq_batch(q.x, q.y, hot.view().xs(), hot.view().ys(), &mut dist);
+                    std::hint::black_box(dist[SCAN_BLOCK / 2]);
+                }
             }
-        }
-    });
-    let scan_scalar = group.bench("scan/scalar_aos", || {
-        for q in &queries {
-            for _ in 0..reps {
-                baseline::euclidean_sq_scalar(q, hot_rows, &mut dist);
-                std::hint::black_box(dist[SCAN_BLOCK / 2]);
+        },
+        "scan/scalar_aos",
+        || {
+            for q in &queries {
+                for _ in 0..reps {
+                    baseline::euclidean_sq_scalar(q, hot_rows, &mut scalar_dist);
+                    std::hint::black_box(scalar_dist[SCAN_BLOCK / 2]);
+                }
             }
-        }
-    });
+        },
+    );
     kernels.push(Kernel {
         label: "scan",
         batched_median_ms: scan_batched.median_ms,
@@ -157,24 +168,28 @@ fn main() {
         .chunks(16)
         .map(|c| Rect::bounding(c).expect("chunks are non-empty"))
         .collect();
-    let mindist_batched = group.bench("mindist/branchless", || {
-        let mut acc = 0.0f64;
-        for q in &queries {
-            for r in &rects {
-                acc += mindist_sq(q, r);
+    let (mindist_batched, mindist_scalar) = group.bench_pair(
+        "mindist/branchless",
+        || {
+            let mut acc = 0.0f64;
+            for q in &queries {
+                for r in &rects {
+                    acc += mindist_sq(q, r);
+                }
             }
-        }
-        std::hint::black_box(acc)
-    });
-    let mindist_scalar = group.bench("mindist/branchy", || {
-        let mut acc = 0.0f64;
-        for q in &queries {
-            for r in &rects {
-                acc += baseline::mindist_sq_branchy(q, r);
+            std::hint::black_box(acc)
+        },
+        "mindist/branchy",
+        || {
+            let mut acc = 0.0f64;
+            for q in &queries {
+                for r in &rects {
+                    acc += baseline::mindist_sq_branchy(q, r);
+                }
             }
-        }
-        std::hint::black_box(acc)
-    });
+            std::hint::black_box(acc)
+        },
+    );
     kernels.push(Kernel {
         label: "mindist",
         batched_median_ms: mindist_batched.median_ms,
@@ -188,35 +203,41 @@ fn main() {
     let k = 16;
     let view = block.view();
     let (ids, xs, ys) = (view.ids(), view.xs(), view.ys());
-    let heap_batched = group.bench("heap_update/kth_heap", || {
-        let mut kth = KthHeap::new(k);
-        let mut buf = Vec::new();
-        for q in &queries {
-            kth.reset(k);
-            let mut at = 0;
-            while at < n_points {
-                let end = (at + BLOCK).min(n_points);
-                let chunk = BlockPoints::from_columns(&ids[at..end], &xs[at..end], &ys[at..end]);
-                kth.scan_block(q, chunk, &mut buf);
-                at = end;
+    let (heap_batched, heap_scalar) = group.bench_pair(
+        "heap_update/kth_heap",
+        || {
+            let mut kth = KthHeap::new(k);
+            let mut buf = Vec::new();
+            for q in &queries {
+                kth.reset(k);
+                let mut at = 0;
+                while at < n_points {
+                    let end = (at + BLOCK).min(n_points);
+                    let chunk =
+                        BlockPoints::from_columns(&ids[at..end], &xs[at..end], &ys[at..end]);
+                    kth.scan_block(q, chunk, &mut buf);
+                    at = end;
+                }
+                std::hint::black_box(kth.threshold_sq());
             }
-            std::hint::black_box(kth.threshold_sq());
-        }
-    });
-    let heap_scalar = group.bench("heap_update/gather_sort", || {
-        for q in &queries {
-            // The pre-SoA shape: materialize every (distance, point) pair,
-            // sort the lot, keep k.
-            let mut all: Vec<(f64, Point)> = rows.iter().map(|p| (q.distance_sq(p), *p)).collect();
-            all.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("finite distances")
-                    .then(a.1.id.cmp(&b.1.id))
-            });
-            all.truncate(k);
-            std::hint::black_box(all.last().map(|(d, _)| *d));
-        }
-    });
+        },
+        "heap_update/gather_sort",
+        || {
+            for q in &queries {
+                // The pre-SoA shape: materialize every (distance, point)
+                // pair, sort the lot, keep k.
+                let mut all: Vec<(f64, Point)> =
+                    rows.iter().map(|p| (q.distance_sq(p), *p)).collect();
+                all.sort_by(|a, b| {
+                    a.0.partial_cmp(&b.0)
+                        .expect("finite distances")
+                        .then(a.1.id.cmp(&b.1.id))
+                });
+                all.truncate(k);
+                std::hint::black_box(all.last().map(|(d, _)| *d));
+            }
+        },
+    );
     kernels.push(Kernel {
         label: "heap_update",
         batched_median_ms: heap_batched.median_ms,
@@ -229,22 +250,26 @@ fn main() {
     let knn_queries = query_points(if smoke { 64 } else { 256 });
     let knn_k = 8;
     let mut scratch = ScratchSpace::new();
-    let knn_batched = group.bench("get_knn/batched", || {
-        let mut metrics = Metrics::default();
-        let mut acc = 0usize;
-        for q in &knn_queries {
-            acc += get_knn_in(&index, q, knn_k, &mut metrics, &mut scratch).len();
-        }
-        std::hint::black_box(acc)
-    });
-    let knn_scalar = group.bench("get_knn/scalar", || {
-        let mut metrics = Metrics::default();
-        let mut acc = 0usize;
-        for q in &knn_queries {
-            acc += get_knn_scalar(&index, q, knn_k, &mut metrics).len();
-        }
-        std::hint::black_box(acc)
-    });
+    let (knn_batched, knn_scalar) = group.bench_pair(
+        "get_knn/batched",
+        || {
+            let mut metrics = Metrics::default();
+            let mut acc = 0usize;
+            for q in &knn_queries {
+                acc += get_knn_in(&index, q, knn_k, &mut metrics, &mut scratch).len();
+            }
+            std::hint::black_box(acc)
+        },
+        "get_knn/scalar",
+        || {
+            let mut metrics = Metrics::default();
+            let mut acc = 0usize;
+            for q in &knn_queries {
+                acc += get_knn_scalar(&index, q, knn_k, &mut metrics).len();
+            }
+            std::hint::black_box(acc)
+        },
+    );
     kernels.push(Kernel {
         label: "get_knn",
         batched_median_ms: knn_batched.median_ms,

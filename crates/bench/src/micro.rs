@@ -51,13 +51,39 @@ impl BenchGroup {
     /// Returns the summary (also printed as a table row).
     pub fn bench<T>(&mut self, label: &str, mut f: impl FnMut() -> T) -> Summary {
         std::hint::black_box(f());
-        let mut times: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(f());
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
+        let times: Vec<f64> = (0..self.samples).map(|_| time_ms(&mut f)).collect();
+        self.report(label, times)
+    }
+
+    /// Runs two benchmarks as an A/B pair: one warm-up call each, then
+    /// `samples` rounds that each time one call of both, alternating which
+    /// goes first. A slow scheduling window or a bad placement phase then
+    /// hits both sides of the comparison instead of all samples of one.
+    /// Returns both summaries (also printed as two table rows).
+    pub fn bench_pair<A, B>(
+        &mut self,
+        label_a: &str,
+        mut a: impl FnMut() -> A,
+        label_b: &str,
+        mut b: impl FnMut() -> B,
+    ) -> (Summary, Summary) {
+        std::hint::black_box(a());
+        std::hint::black_box(b());
+        let (mut times_a, mut times_b) = (Vec::new(), Vec::new());
+        for round in 0..self.samples {
+            if round % 2 == 0 {
+                times_a.push(time_ms(&mut a));
+                times_b.push(time_ms(&mut b));
+            } else {
+                times_b.push(time_ms(&mut b));
+                times_a.push(time_ms(&mut a));
+            }
+        }
+        (self.report(label_a, times_a), self.report(label_b, times_b))
+    }
+
+    /// Summarizes and prints one benchmark's sample times.
+    fn report(&self, label: &str, mut times: Vec<f64>) -> Summary {
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
         let summary = Summary {
             min_ms: times[0],
@@ -75,6 +101,13 @@ impl BenchGroup {
     }
 }
 
+/// Wall-clock milliseconds of one call of `f`.
+fn time_ms<T>(f: &mut impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    start.elapsed().as_secs_f64() * 1e3
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,5 +117,17 @@ mod tests {
         let mut group = BenchGroup::new("test_group").sample_size(5);
         let s = group.bench("noop", || 1 + 1);
         assert!(s.min_ms <= s.median_ms && s.median_ms <= s.max_ms);
+    }
+
+    #[test]
+    fn bench_pair_runs_both_sides_once_per_round() {
+        let (mut calls_a, mut calls_b) = (0, 0);
+        let mut group = BenchGroup::new("test_pair").sample_size(7);
+        let (a, b) = group.bench_pair("a", || calls_a += 1, "b", || calls_b += 1);
+        // One warm-up call each, then one call each per round.
+        assert_eq!((calls_a, calls_b), (8, 8));
+        for s in [a, b] {
+            assert!(s.min_ms <= s.median_ms && s.median_ms <= s.max_ms);
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! e2 ∈ E2, and e2 is among the k-closest points to e1." (Section 1.)
 //!
 //! The kNN-join is evaluated by computing, for every point of the outer
-//! relation, its neighborhood in the inner relation via the locality-based
-//! `getkNN` — exactly the strategy the paper assumes for its conceptually
-//! correct QEPs. A thread-parallel variant is provided for large outer
+//! relation, its neighborhood in the inner relation via `getkNN` — exactly
+//! the strategy the paper assumes for its conceptually correct QEPs (which
+//! neighborhood algorithm runs underneath is left open by the paper; the
+//! index layer uses a MINDIST block walk). A thread-parallel variant is provided for large outer
 //! relations; it partitions the outer relation's blocks across threads and
 //! merges per-thread metrics, producing the same result set as the
 //! sequential operator.

@@ -2,7 +2,7 @@
 //!
 //! "For a focal point f, σ_{k,f}(E1) returns from the set of points in E1 the
 //! k-closest to f." (Section 1.) The operator is a thin wrapper over the
-//! locality-based `getkNN` of the index layer; it exists as a named operator
+//! `getkNN` of the index layer; it exists as a named operator
 //! so that plans, the optimizer and the conceptually correct QEPs can treat
 //! it uniformly.
 
@@ -61,8 +61,7 @@ where
 
 /// Evaluates the *filtered* kNN-select: the `k` points matching `predicate`
 /// that are nearest to `focal` (pre-kNN filter placement). A
-/// [`Predicate::True`] predicate degenerates to the plain locality-based
-/// select, which keeps the unfiltered fast path intact.
+/// [`Predicate::True`] predicate degenerates to the plain kNN-select, which keeps the unfiltered fast path intact.
 pub fn knn_select_filtered<I>(
     relation: &I,
     focal: &Point,

@@ -6,17 +6,19 @@
 //!
 //! 1. the *search threshold* is the distance from `e1` to the nearest point
 //!    of `nbr_f`;
-//! 2. blocks of the inner relation are scanned in increasing MAXDIST order
-//!    from `e1`, accumulating their point counts, as long as they are
-//!    *completely included* within the search threshold (MAXDIST ≤ threshold);
+//! 2. the point counts of the inner blocks *completely included* within the
+//!    search threshold (MAXDIST strictly below it) are accumulated — the
+//!    paper scans them in increasing MAXDIST order, but only the sum
+//!    matters, so [`more_than_k_strictly_within`] sums them in storage
+//!    order, skipping every partition that lies wholly beyond the threshold;
 //! 3. if more than `k⋈` points are found this way, then `e1` already has more
 //!    than `k⋈` inner points strictly closer than any member of `nbr_f`, so
 //!    its neighborhood cannot intersect `nbr_f` and `e1` is skipped.
 //!
 //! Only the surviving outer points pay for a neighborhood computation.
 
-use twoknn_geometry::Point;
-use twoknn_index::{get_knn, Metrics, Neighborhood, SpatialIndex};
+use twoknn_geometry::{mindist, Point};
+use twoknn_index::{get_knn, BlockMeta, Metrics, Neighborhood, SpatialIndex};
 
 use crate::exec::{run_over_blocks, ExecutionMode};
 use crate::output::{Pair, QueryOutput};
@@ -93,34 +95,67 @@ fn counting_test_point<I>(
     metrics.distance_computations += nbr_f.len() as u64;
 
     // Lines 6–14: count inner points in blocks completely included
-    // within the search threshold, scanning in MAXDIST order from e1.
-    let mut count = 0usize;
-    let mut max_order = inner.maxdist_order(e1);
-    while count <= query.k_join {
-        let Some(ob) = max_order.next() else {
-            break;
-        };
-        metrics.blocks_scanned += 1;
-        if ob.distance >= search_threshold {
-            // This block (and all following ones) is not *strictly*
-            // included within the search threshold. Using `>=` keeps
-            // the pruning sound even when an inner point lies at
-            // exactly the threshold distance (a tie the paper's
-            // pseudocode ignores).
-            break;
-        }
-        count += ob.block.count;
-    }
+    // within the search threshold.
+    let pruned = more_than_k_strictly_within(inner, e1, search_threshold, query.k_join, metrics);
 
     // Lines 15–21: only compute e1's neighborhood if the count did not
     // prove the intersection impossible.
-    if count <= query.k_join {
+    if !pruned {
         let nbr_e1 = get_knn(inner, e1, query.k_join, metrics);
         for i in nbr_e1.intersect(nbr_f) {
             rows.push(Pair::new(*e1, i));
         }
     } else {
         metrics.points_pruned += 1;
+    }
+}
+
+/// Procedure 1, lines 6–14: whether more than `k` points of `inner` lie in
+/// blocks *completely included* within `threshold` of `p` — then `p` has more
+/// than `k` inner points strictly closer than `threshold`, and none of its
+/// `k` nearest neighbors can lie at or beyond it.
+///
+/// A block is included when its MAXDIST from `p` is strictly below the
+/// threshold; `>=` excludes it, which keeps the pruning sound when an inner
+/// point lies at exactly the threshold distance (a tie the paper's pseudocode
+/// ignores). The included blocks' counts are summed in storage order — the
+/// paper's MAXDIST order only decides *when* the sum is complete, not its
+/// value — and the test returns as soon as the sum exceeds `k`. On a sharded
+/// index, a partition whose MINDIST is not below the threshold holds no
+/// included block and is skipped without looking at its blocks. Each block
+/// whose count was summed counts as `blocks_scanned`; nothing is allocated.
+pub(super) fn more_than_k_strictly_within<I>(
+    inner: &I,
+    p: &Point,
+    threshold: f64,
+    k: usize,
+    metrics: &mut Metrics,
+) -> bool
+where
+    I: SpatialIndex + ?Sized,
+{
+    let mut count = 0usize;
+    let mut exceeds_k = |blocks: &[BlockMeta]| {
+        for b in blocks {
+            if b.count == 0 || b.maxdist(p) >= threshold {
+                continue;
+            }
+            metrics.blocks_scanned += 1;
+            count += b.count;
+            if count > k {
+                return true;
+            }
+        }
+        false
+    };
+    let blocks = inner.blocks();
+    match inner.partitions() {
+        Some(parts) => parts.iter().any(|part| {
+            !part.is_empty()
+                && mindist(p, &part.mbr) < threshold
+                && exceeds_k(&blocks[part.block_range()])
+        }),
+        None => exceeds_k(blocks),
     }
 }
 

@@ -30,6 +30,8 @@ use twoknn_index::{get_knn, Metrics, SpatialIndex};
 use crate::join::knn_join_with_metrics;
 use crate::output::{Pair, QueryOutput};
 
+use super::counting::more_than_k_strictly_within;
+
 /// Parameters of a query with a range selection on the **inner** relation of
 /// a kNN-join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,19 +138,13 @@ where
     for block in outer.blocks() {
         for e1 in outer.block_points(block.id) {
             let search_threshold = mindist(&e1, &query.range);
-            let mut count = 0usize;
-            let mut max_order = inner.maxdist_order(&e1);
-            while count <= query.k_join {
-                let Some(ob) = max_order.next() else {
-                    break;
-                };
-                metrics.blocks_scanned += 1;
-                if ob.distance >= search_threshold {
-                    break;
-                }
-                count += ob.block.count;
-            }
-            if count <= query.k_join {
+            if !more_than_k_strictly_within(
+                inner,
+                &e1,
+                search_threshold,
+                query.k_join,
+                &mut metrics,
+            ) {
                 let nbr = get_knn(inner, &e1, query.k_join, &mut metrics);
                 for n in nbr.members() {
                     if query.range.contains(&n.point) {

@@ -24,7 +24,7 @@
 //!
 //! With `shards_per_axis == 1` (the default, and the ablation baseline) the
 //! composed snapshot is a transparent wrapper over a single shard and every
-//! query takes the flat single-locality path.
+//! query takes the flat single-walk path.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};

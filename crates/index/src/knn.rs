@@ -6,41 +6,50 @@
 //! the minimum locality of p, and then compute the neighborhood of p only
 //! from its locality."
 //!
-//! Three implementations are provided:
+//! This workspace takes the first sentence at its word. Three
+//! implementations are provided:
 //!
-//! * [`get_knn`] — the locality-based algorithm used throughout the paper
-//!   (and throughout this workspace), now running the batched SoA block-scan
-//!   kernel: per locality block, one vectorizable column pass fills the
-//!   distance buffer, then the buffer folds into a bounded k-heap whose root
-//!   is the running k-th distance τ. Blocks with MINDIST strictly greater
-//!   than τ are skipped (counted as `blocks_pruned`), which the plain
-//!   gather-everything implementation could not do.
+//! * [`get_knn`] — the hot path: **one MINDIST walk** per partition. Each
+//!   non-empty block's MINDIST² from `p` goes into a reused buffer, keeping
+//!   only the blocks within the running k-th distance τ (and within the
+//!   caller's search threshold, for [`get_knn_bounded`]); the buffer is then
+//!   popped lazily as a min-heap and every popped block runs the batched SoA
+//!   block-scan kernel ([`crate::KthHeap::scan_block`]), whose root is τ. The
+//!   walk stops at the first block whose MINDIST² exceeds τ² — strictly, so
+//!   id tie-breaks at exactly τ stay reachable. It pays only for the blocks
+//!   it reads; no locality is materialized. On a sharded index the same walk
+//!   runs per partition, partitions visited in MINDIST order and skipped
+//!   wholesale past τ.
 //! * [`get_knn_best_first`] — the classic best-first (Hjaltason–Samet)
 //!   incremental kNN, used for cross-checking and index ablations.
 //! * [`brute_force_knn`] — an `O(n log n)` scan, the ground truth for tests.
 //!
+//! The paper's locality ([`Locality`], Definition 2) stays as the basis of
+//! [`get_knn_scalar`], the retained pre-SoA gather path the `kernel_micro`
+//! bench measures speedups against.
+//!
 //! Every entry point has an `*_in` variant taking an explicit
 //! [`ScratchSpace`]; the plain variants borrow the calling thread's shared
 //! scratch (see [`crate::scratch`]), so a batch of queries on one worker
-//! thread allocates the transient heaps and buffers once, not per query.
-//! [`get_knn_scalar`] retains the pre-SoA gather-and-sort path as the
-//! ablation baseline the `kernel_micro` bench measures speedups against.
+//! thread allocates the walk buffer, heaps and distance buffer once, not per
+//! query.
 
-use std::cmp::Ordering as CmpOrdering;
+use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::BinaryHeap;
 
 use twoknn_geometry::{Point, Predicate};
 
-use crate::locality::{collect_locality_blocks, collect_locality_blocks_in, Locality};
+use crate::block::BlockMeta;
+use crate::locality::Locality;
 use crate::metrics::Metrics;
 use crate::neighborhood::{Neighbor, Neighborhood};
 use crate::ordering::OrderedF64;
 use crate::partition::PartitionMeta;
-use crate::scratch::{with_thread_scratch, ScratchSpace};
+use crate::scratch::{with_thread_scratch, KthHeap, ScratchSpace};
 use crate::traits::SpatialIndex;
 
-/// Computes the neighborhood (the `k` nearest neighbors) of `p` using the
-/// locality algorithm, counting the work into `metrics`.
+/// Computes the neighborhood (the `k` nearest neighbors) of `p` with the
+/// MINDIST walk, counting the work into `metrics`.
 ///
 /// When `p` itself is stored in the index (same id and coordinates), it is
 /// *not* excluded: the paper's operators query focal points and outer-relation
@@ -66,20 +75,12 @@ pub fn get_knn_in<I: SpatialIndex + ?Sized>(
     metrics: &mut Metrics,
     scratch: &mut ScratchSpace,
 ) -> Neighborhood {
-    metrics.neighborhoods_computed += 1;
-    if k == 0 || index.num_points() == 0 {
-        return Neighborhood::empty(*p, k);
-    }
-    if let Some(parts) = sharded_partitions(index) {
-        return get_knn_scatter_gather(index, parts, p, k, None, metrics, scratch);
-    }
-    collect_locality_blocks(index, p, k, None, metrics, &mut scratch.locality);
-    scan_locality_blocks(index, p, k, metrics, scratch)
+    knn_walk(index, p, k, None, None, metrics, scratch)
 }
 
 /// Computes the neighborhood of `p` restricted to a search threshold: only
-/// blocks with MINDIST ≤ `threshold` are examined (Procedure 5's bounded
-/// locality). The result is exact for every member whose distance from `p`
+/// blocks with MINDIST ≤ `threshold` are examined (the walk counterpart of
+/// Procedure 5's bounded locality). The result is exact for every member whose distance from `p`
 /// is at most `threshold`; members farther than the threshold may be missing.
 pub fn get_knn_bounded<I: SpatialIndex + ?Sized>(
     index: &I,
@@ -100,31 +101,21 @@ pub fn get_knn_bounded_in<I: SpatialIndex + ?Sized>(
     metrics: &mut Metrics,
     scratch: &mut ScratchSpace,
 ) -> Neighborhood {
-    metrics.neighborhoods_computed += 1;
-    if k == 0 || index.num_points() == 0 {
-        return Neighborhood::empty(*p, k);
-    }
-    if let Some(parts) = sharded_partitions(index) {
-        return get_knn_scatter_gather(index, parts, p, k, Some(threshold), metrics, scratch);
-    }
-    collect_locality_blocks(index, p, k, Some(threshold), metrics, &mut scratch.locality);
-    scan_locality_blocks(index, p, k, metrics, scratch)
+    knn_walk(index, p, k, Some(threshold), None, metrics, scratch)
 }
 
 /// Computes the `k` nearest points of `p` **matching a predicate** — the
 /// "k nearest *matching* points" semantics of a pre-kNN filter placement.
 ///
-/// Locality construction is deliberately **not** used here: block counts
-/// overcount the matching points, so a locality sized by counts could stop
-/// collecting blocks before `k` matching candidates are reachable. Instead,
-/// every non-empty block is visited in increasing MINDIST² order and scanned
-/// through the predicate-masked batched kernel
-/// ([`crate::KthHeap::scan_block_masked`]); once the candidate heap holds `k`
-/// *matching* points, the walk stops at the first block whose MINDIST²
-/// exceeds τ² (strictly — id tie-breaks at exactly τ stay reachable). τ is
-/// the k-th **matching** distance, never smaller than the unfiltered one, so
-/// this pruning is conservative and the result is exact. The same walk is
-/// correct on sharded indexes because composed block ids are global.
+/// Runs the same MINDIST walk as [`get_knn`] — per partition, shards visited
+/// in MINDIST order — but scans each block through the predicate-masked
+/// batched kernel ([`crate::KthHeap::scan_block_masked`]). The walk never
+/// sizes itself by block counts (which overcount the matching points); it
+/// stops only once the candidate heap holds `k` *matching* points and the
+/// next block's MINDIST² exceeds τ² (strictly — id tie-breaks at exactly τ
+/// stay reachable). τ is the k-th **matching** distance, never smaller than
+/// the unfiltered one, so block and shard pruning against it stay
+/// conservative and the result is exact.
 ///
 /// Uses the calling thread's shared [`ScratchSpace`]; see
 /// [`get_knn_filtered_in`] for explicit reuse.
@@ -139,7 +130,7 @@ pub fn get_knn_filtered<I: SpatialIndex + ?Sized>(
 }
 
 /// [`get_knn_filtered`] with an explicit, reusable [`ScratchSpace`]: the
-/// predicate mask, block-order buffer, distance buffer, and candidate heap
+/// predicate mask, block-walk buffer, distance buffer, and candidate heap
 /// are all borrowed from the scratch, so the filtered hot path allocates
 /// nothing but the returned [`Neighborhood`] after warm-up.
 pub fn get_knn_filtered_in<I: SpatialIndex + ?Sized>(
@@ -150,41 +141,7 @@ pub fn get_knn_filtered_in<I: SpatialIndex + ?Sized>(
     metrics: &mut Metrics,
     scratch: &mut ScratchSpace,
 ) -> Neighborhood {
-    metrics.neighborhoods_computed += 1;
-    if k == 0 || index.num_points() == 0 {
-        return Neighborhood::empty(*p, k);
-    }
-    scratch.kth.reset(k);
-    let ScratchSpace {
-        dist,
-        kth,
-        mask,
-        block_order,
-        ..
-    } = scratch;
-
-    block_order.clear();
-    for b in index.blocks() {
-        if b.count > 0 {
-            block_order.push((OrderedF64(b.mindist_sq(p)), b.id));
-        }
-    }
-    block_order.sort_unstable();
-
-    for i in 0..block_order.len() {
-        let (mindist_sq, id) = block_order[i];
-        if kth.is_full() && mindist_sq.0 > kth.threshold_sq() {
-            metrics.blocks_pruned += (block_order.len() - i) as u64;
-            break;
-        }
-        let points = index.block_points(id);
-        metrics.blocks_scanned += 1;
-        metrics.points_scanned += points.len() as u64;
-        metrics.distance_computations += points.len() as u64;
-        predicate.eval_block(points.ids(), points.xs(), points.ys(), mask);
-        kth.scan_block_masked(p, points, mask, dist);
-    }
-    kth.finish(*p, k)
+    knn_walk(index, p, k, None, Some(predicate), metrics, scratch)
 }
 
 /// Ground-truth filtered kNN: filters every indexed point by the predicate,
@@ -207,50 +164,63 @@ pub fn brute_force_knn_filtered<I: SpatialIndex + ?Sized>(
     Neighborhood::from_unsorted(*p, k, members)
 }
 
-/// The partitions of `index` when scatter-gather is worthwhile: more than one
-/// partition holds points. With zero or one populated shard the flat
-/// single-locality scan is both simpler and at least as cheap.
-#[inline]
-fn sharded_partitions<I: SpatialIndex + ?Sized>(index: &I) -> Option<&[PartitionMeta]> {
-    let parts = index.partitions()?;
-    let populated = parts.iter().filter(|part| !part.is_empty()).count();
-    (populated > 1).then_some(parts)
-}
-
-/// The scatter-gather kNN driver over a sharded index.
+/// The body of every walking entry point: the MINDIST walk, reading each
+/// block through the plain batched scan, or through the predicate-masked
+/// scan when a pre-kNN `predicate` is given.
 ///
-/// Partitions are visited in increasing MINDIST² from `p`, all feeding one
-/// shared [`crate::KthHeap`]: per visited shard, a locality is built over
-/// *that shard's* block slice only (bounded by the running τ once the heap is
-/// full, and by the caller's search threshold if any) and scanned with the
-/// usual batched τ-pruning kernel. As soon as the next shard's MINDIST²
-/// exceeds τ² — strictly, so distance ties keep resolving by id — every
-/// remaining shard is skipped wholesale (`shards_pruned`).
+/// On a sharded index, partitions are visited in increasing MINDIST² from
+/// `p`, all feeding the one shared `kth` heap, and each visited partition
+/// runs its own [`walk_blocks`] over *its* block slice. As soon as the next
+/// partition's MINDIST² exceeds τ² (or the square of the caller's search
+/// threshold) — strictly, so distance ties keep resolving by id — every
+/// remaining partition is skipped wholesale (`shards_pruned`). An unsharded
+/// index is one walk over all of its blocks.
 ///
-/// Exactness mirrors the block-level argument one level up: a true k-nearest
-/// member inside some shard is within τ at every point of the scan (otherwise
-/// the heap would already hold `k` strictly closer points), so its shard
-/// passes the prefix test and the shard-local bounded locality retains its
-/// block. Results are identical to the flat scan, including tie resolution.
-fn get_knn_scatter_gather<I: SpatialIndex + ?Sized>(
+/// Exactness mirrors the block-level argument one level up: a true
+/// k-nearest member inside some shard is within τ at every point of the scan
+/// (otherwise the heap would already hold `k` strictly closer points), so
+/// its shard passes the prefix test and the shard's walk reads its block.
+fn knn_walk<I: SpatialIndex + ?Sized>(
     index: &I,
-    parts: &[PartitionMeta],
     p: &Point,
     k: usize,
     threshold: Option<f64>,
+    predicate: Option<&Predicate>,
     metrics: &mut Metrics,
     scratch: &mut ScratchSpace,
 ) -> Neighborhood {
+    metrics.neighborhoods_computed += 1;
+    if k == 0 || index.num_points() == 0 {
+        return Neighborhood::empty(*p, k);
+    }
     scratch.kth.reset(k);
     let ScratchSpace {
         dist,
         kth,
-        locality,
+        mask,
+        block_walk,
         shard_order,
         ..
     } = scratch;
-    let all_blocks = index.blocks();
+    let mut read = |kth: &mut KthHeap, id: u32| {
+        let points = index.block_points(id);
+        match predicate {
+            None => kth.scan_block(p, points, dist),
+            Some(predicate) => {
+                predicate.eval_block(points.ids(), points.xs(), points.ys(), mask);
+                kth.scan_block_masked(p, points, mask, dist);
+            }
+        }
+        points.len()
+    };
 
+    let all_blocks = index.blocks();
+    let Some(parts) = sharded_partitions(index) else {
+        walk_blocks(
+            all_blocks, p, threshold, kth, block_walk, metrics, &mut read,
+        );
+        return kth.finish(*p, k);
+    };
     shard_order.clear();
     for (i, part) in parts.iter().enumerate() {
         if !part.is_empty() {
@@ -260,86 +230,102 @@ fn get_knn_scatter_gather<I: SpatialIndex + ?Sized>(
     shard_order.sort_unstable();
 
     let threshold_sq = threshold.map(|t| t * t);
-    for i in 0..shard_order.len() {
-        let (mindist_sq, part_idx) = shard_order[i];
+    for (i, &(mindist_sq, part_idx)) in shard_order.iter().enumerate() {
         let beyond_bound = threshold_sq.is_some_and(|t| mindist_sq.0 > t);
-        if beyond_bound || (kth.is_full() && mindist_sq.0 > kth.threshold_sq()) {
+        if beyond_bound || mindist_sq.0 > kth.threshold_sq() {
             metrics.shards_pruned += (shard_order.len() - i) as u64;
             break;
         }
         metrics.shards_scanned += 1;
-
-        // Shard-local search bound: the caller's threshold, tightened by the
-        // running τ once it is live. Both are inclusive bounds, so members at
-        // exactly τ (id tie-breaks) stay reachable.
-        let tau_sq = kth.threshold_sq();
-        let effective = match (threshold, tau_sq.is_finite()) {
-            (Some(t), true) => Some(t.min(tau_sq.sqrt())),
-            (Some(t), false) => Some(t),
-            (None, true) => Some(tau_sq.sqrt()),
-            (None, false) => None,
-        };
         let shard_blocks = &all_blocks[parts[part_idx as usize].block_range()];
-        collect_locality_blocks_in(shard_blocks, p, k, effective, metrics, locality);
-        for block in &locality.blocks {
-            if kth.is_full() && block.mindist_sq(p) > kth.threshold_sq() {
-                metrics.blocks_pruned += 1;
-                continue;
-            }
-            let points = index.block_points(block.id);
-            metrics.points_scanned += points.len() as u64;
-            metrics.distance_computations += points.len() as u64;
-            kth.scan_block(p, points, dist);
-        }
+        walk_blocks(
+            shard_blocks,
+            p,
+            threshold,
+            kth,
+            block_walk,
+            metrics,
+            &mut read,
+        );
     }
     kth.finish(*p, k)
 }
 
-/// The fused block-scan phase shared by the `get_knn*` entry points: runs
-/// the batched kth-distance kernel over the blocks collected in
-/// `scratch.locality`, pruning blocks whose MINDIST exceeds the running τ.
+/// The partitions of `index` when scatter-gather is worthwhile: more than one
+/// partition holds points. With zero or one populated shard the flat
+/// single-walk scan is both simpler and at least as cheap.
+#[inline]
+fn sharded_partitions<I: SpatialIndex + ?Sized>(index: &I) -> Option<&[PartitionMeta]> {
+    let parts = index.partitions()?;
+    let populated = parts.iter().filter(|part| !part.is_empty()).count();
+    (populated > 1).then_some(parts)
+}
+
+/// The MINDIST walk over one partition's blocks.
 ///
-/// τ-pruning is exact: once the heap holds `k` candidates, every candidate's
-/// distance is ≤ τ, so a block with MINDIST **strictly** greater than τ
-/// cannot contribute a closer point — and points *at* distance τ (which may
-/// still win on id tie-break) live in blocks with MINDIST ≤ τ, which are
-/// always scanned. Results are therefore identical to the gather-everything
-/// baseline, including tie resolution.
-fn scan_locality_blocks<I: SpatialIndex + ?Sized>(
-    index: &I,
+/// Admission: every non-empty block's MINDIST² from `p` is computed once, and
+/// only blocks with MINDIST² ≤ τ² (the running k-th distance, infinite until
+/// the heap is full) and MINDIST ≤ `threshold` enter the `(MINDIST², id)`
+/// buffer (`locality_blocks`). The buffer is heapified in `O(n)` and popped
+/// lazily; each popped block goes to `read`, which scans it into `kth` and
+/// returns its point count (`blocks_scanned`), until the next MINDIST²
+/// exceeds the current τ². Non-empty blocks that were never read count as
+/// `blocks_pruned`.
+///
+/// Exact, ties included: a point at distance τ lies in a block whose
+/// MINDIST² ≤ τ², and such a block is always admitted and read, so the heap
+/// sees every candidate that could win an id tie-break. The threshold test
+/// compares the non-squared MINDIST (`sqrt(MINDIST²) ≤ threshold`), so a
+/// point whose distance equals the threshold is never lost to rounding.
+fn walk_blocks(
+    blocks: &[BlockMeta],
     p: &Point,
-    k: usize,
+    threshold: Option<f64>,
+    kth: &mut KthHeap,
+    block_walk: &mut Vec<Reverse<(OrderedF64, u32)>>,
     metrics: &mut Metrics,
-    scratch: &mut ScratchSpace,
-) -> Neighborhood {
-    scratch.kth.reset(k);
-    let ScratchSpace {
-        dist,
-        kth,
-        locality,
-        ..
-    } = scratch;
-    for block in &locality.blocks {
-        if kth.is_full() && block.mindist_sq(p) > kth.threshold_sq() {
-            metrics.blocks_pruned += 1;
+    read: &mut impl FnMut(&mut KthHeap, u32) -> usize,
+) {
+    let tau_sq = kth.threshold_sq();
+    let mut non_empty = 0u64;
+    block_walk.clear();
+    for b in blocks {
+        if b.count == 0 {
             continue;
         }
-        let points = index.block_points(block.id);
-        metrics.points_scanned += points.len() as u64;
-        metrics.distance_computations += points.len() as u64;
-        kth.scan_block(p, points, dist);
+        non_empty += 1;
+        let d2 = b.mindist_sq(p);
+        if d2 <= tau_sq && threshold.map_or(true, |t| d2.sqrt() <= t) {
+            block_walk.push(Reverse((OrderedF64(d2), b.id)));
+        }
     }
-    kth.finish(*p, k)
+    metrics.locality_blocks += block_walk.len() as u64;
+
+    let mut heap = BinaryHeap::from(std::mem::take(block_walk));
+    let mut blocks_read = 0u64;
+    while let Some(&Reverse((d2, id))) = heap.peek() {
+        if d2.0 > kth.threshold_sq() {
+            break;
+        }
+        heap.pop();
+        let points = read(kth, id) as u64;
+        blocks_read += 1;
+        metrics.points_scanned += points;
+        metrics.distance_computations += points;
+    }
+    *block_walk = heap.into_vec();
+    metrics.blocks_scanned += blocks_read;
+    metrics.blocks_pruned += non_empty - blocks_read;
 }
 
 /// Extracts the `k` nearest points of `p` from the blocks of a locality.
 ///
 /// This is the retained **scalar (pre-SoA) gather path**: every point of
 /// every locality block is materialized as a [`Neighbor`] and the list is
-/// sorted and truncated at the end. [`get_knn`] replaced it with the batched
-/// kth-distance kernel; it stays public as the ablation baseline for the
-/// `kernel_micro` bench and the SoA-equivalence property tests, and for
-/// callers that hold a pre-built [`Locality`].
+/// sorted and truncated at the end. [`get_knn`] replaced it with the MINDIST
+/// walk and the batched kth-distance kernel; it stays public as the ablation
+/// baseline for the `kernel_micro` bench and the SoA-equivalence property
+/// tests, and for callers that hold a pre-built [`Locality`].
 pub fn neighborhood_from_locality<I: SpatialIndex + ?Sized>(
     index: &I,
     p: &Point,
@@ -763,6 +749,27 @@ mod tests {
         for &(mindist_sq, _) in &order[visited..] {
             assert!(mindist_sq > tau_sq, "pruned shard within τ");
         }
+    }
+
+    /// A tie at exactly τ that only a later shard holds: the point with the
+    /// smaller id sits on the near edge of its shard, so both the shard's
+    /// and its block's MINDIST² equal τ² exactly. Shard visit and block
+    /// admission are inclusive, so it still wins the tie-break.
+    #[test]
+    fn scatter_gather_keeps_a_tie_at_exactly_tau_in_a_later_shard() {
+        let data = vec![
+            Point::new(0, 0.0, 0.0),
+            Point::new(9, 8.0, 6.0),   // d² = 25, nearest shard
+            Point::new(3, 10.0, 2.0),  // d² = 25, next shard's near edge
+            Point::new(7, 20.0, 20.0), // pins the bounds to [0, 20]²
+        ];
+        let sharded = ShardedGrid::build(data, 2);
+        let q = Point::anonymous(5.0, 2.0);
+        let mut m = Metrics::default();
+        let got = get_knn(&sharded, &q, 1, &mut m);
+        assert_eq!(got.ids(), vec![3]);
+        assert_eq!(got, brute_force_knn(&sharded, &q, 1));
+        assert_eq!(m.shards_scanned, 2, "{m}");
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //!   (parallel `ids`/`xs`/`ys` columns) shared by every index, so per-block
 //!   distance scans run over contiguous `&[f64]` slices;
 //! * [`BlockOrder`] — lazy MINDIST/MAXDIST orderings;
-//! * [`Locality`] / [`get_knn`] — the locality-based kNN algorithm of
-//!   Sankaranarayanan, Samet & Varshney used by the paper for `getkNN`,
-//!   running the batched kth-distance kernel of [`KthHeap`];
+//! * [`get_knn`] — `getkNN` as one MINDIST walk over the blocks (the paper
+//!   allows "any algorithm" for the neighborhood), running the batched,
+//!   τ-gated kth-distance kernel of [`KthHeap`];
+//! * [`Locality`] — the paper's locality (Definition 2) built with the
+//!   two-phase algorithm of Sankaranarayanan, Samet & Varshney, the basis of
+//!   the scalar ablation baseline [`get_knn_scalar`];
 //! * [`PartitionMeta`] — an optional coarse *shard* tier above blocks: an
 //!   index that reports partitions ([`SpatialIndex::partitions`]) is queried
 //!   scatter-gather style, visiting shards in MINDIST order against one
@@ -27,7 +30,7 @@
 //!   exceeds the running τ² — the paper's block pruning lifted one level up
 //!   (counted by `Metrics::shards_scanned` / `shards_pruned`);
 //! * [`ScratchSpace`] — reusable per-query transient state (candidate heap,
-//!   order heaps, distance buffer); the plain kNN entry points borrow a
+//!   block-walk buffer, distance buffer); the plain kNN entry points borrow a
 //!   thread-local one via [`with_thread_scratch`], the `*_in` variants
 //!   ([`get_knn_in`] etc.) take one explicitly;
 //! * [`Neighborhood`] — the k-nearest-neighbor set with the accessors the
@@ -86,7 +89,7 @@ pub use knn::{
 pub use locality::Locality;
 pub use metrics::Metrics;
 pub use neighborhood::{Neighbor, Neighborhood};
-pub use ordering::{BlockOrder, OrderMetric, OrderStorage, OrderedBlock, OrderedF64};
+pub use ordering::{BlockOrder, OrderMetric, OrderedBlock, OrderedF64};
 pub use partition::PartitionMeta;
 pub use points::{BlockPoints, BlockPointsIter, PointBlock};
 pub use quadtree::{QuadtreeIndex, DEFAULT_MAX_DEPTH};

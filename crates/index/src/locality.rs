@@ -18,13 +18,17 @@
 //! is added to the locality only if its MINDIST from `p` does not exceed an
 //! externally supplied *search threshold*. This crate exposes both variants
 //! through [`Locality::build`] and [`Locality::build_bounded`].
+//!
+//! The `getkNN` hot path ([`crate::get_knn`]) no longer builds localities:
+//! it runs a single MINDIST walk (see [`crate::knn`]). `Locality` remains the
+//! paper's Definition 2 made concrete, and the basis of the scalar ablation
+//! baseline [`crate::get_knn_scalar`].
 
 use twoknn_geometry::Point;
 
 use crate::block::BlockMeta;
 use crate::metrics::Metrics;
-use crate::ordering::BlockOrder;
-use crate::scratch::LocalityScratch;
+use crate::ordering::{BlockOrder, OrderMetric};
 use crate::traits::SpatialIndex;
 
 /// The set of blocks guaranteed to contain the `k` nearest neighbors of a
@@ -79,12 +83,58 @@ impl Locality {
         threshold: Option<f64>,
         metrics: &mut Metrics,
     ) -> Self {
-        let mut scratch = LocalityScratch::default();
-        let maxdist_bound = collect_locality_blocks(index, p, k, threshold, metrics, &mut scratch);
+        let all_blocks = index.blocks();
+        let mut in_locality = vec![false; all_blocks.len()];
+        let mut blocks = Vec::new();
+        let passes_threshold = |b: &BlockMeta| threshold.map_or(true, |t| b.mindist(p) <= t);
+
+        // Phase 1: MAXDIST order until `k` points have been accumulated.
+        let mut count = 0usize;
+        let mut seen_maxdist: f64 = 0.0;
+        let mut max_order = BlockOrder::new(all_blocks, p, OrderMetric::MaxDist);
+        while count < k {
+            let Some(ob) = max_order.next() else {
+                break; // Fewer than k points in the whole index.
+            };
+            metrics.blocks_scanned += 1;
+            seen_maxdist = seen_maxdist.max(ob.distance);
+            if ob.block.count == 0 {
+                continue;
+            }
+            count += ob.block.count;
+            if passes_threshold(&ob.block) {
+                in_locality[ob.block.id as usize] = true;
+                blocks.push(ob.block);
+                metrics.locality_blocks += 1;
+            }
+        }
+        let maxdist_bound = if count >= k {
+            seen_maxdist
+        } else {
+            f64::INFINITY
+        };
+
+        // Phase 2: remaining blocks in MINDIST order while MINDIST <= M.
+        for ob in BlockOrder::new(all_blocks, p, OrderMetric::MinDist) {
+            if ob.distance > maxdist_bound || threshold.is_some_and(|t| ob.distance > t) {
+                break;
+            }
+            if in_locality[ob.block.id as usize] {
+                continue;
+            }
+            metrics.blocks_scanned += 1;
+            if ob.block.count == 0 {
+                continue;
+            }
+            in_locality[ob.block.id as usize] = true;
+            blocks.push(ob.block);
+            metrics.locality_blocks += 1;
+        }
+
         Self {
             query: *p,
             k,
-            blocks: std::mem::take(&mut scratch.blocks),
+            blocks,
             maxdist_bound,
             threshold,
         }
@@ -119,111 +169,6 @@ impl Locality {
     pub fn point_count(&self) -> usize {
         self.blocks.iter().map(|b| b.count).sum()
     }
-}
-
-/// The two-phase locality construction, writing the resulting block list
-/// into `scratch.blocks` (in discovery order) and returning the MAXDIST
-/// bound `M`. This is the allocation-free core shared by [`Locality::build`]
-/// (which copies the blocks into an owned `Locality`) and the fused
-/// [`crate::get_knn_in`] hot path (which scans the blocks straight out of
-/// the scratch).
-pub(crate) fn collect_locality_blocks<I: SpatialIndex + ?Sized>(
-    index: &I,
-    p: &Point,
-    k: usize,
-    threshold: Option<f64>,
-    metrics: &mut Metrics,
-    scratch: &mut LocalityScratch,
-) -> f64 {
-    collect_locality_blocks_in(index.blocks(), p, k, threshold, metrics, scratch)
-}
-
-/// Slice-level core of the locality construction: operates on any contiguous
-/// run of blocks with ascending ids (the whole index, or one shard's
-/// partition of a composed snapshot). The membership bitmap is indexed
-/// relative to the first block's id so partition slices don't pay for the
-/// full index width. Appends discovered blocks to `scratch.blocks` (clearing
-/// it first) and returns the MAXDIST bound `M`.
-pub(crate) fn collect_locality_blocks_in(
-    all_blocks: &[BlockMeta],
-    p: &Point,
-    k: usize,
-    threshold: Option<f64>,
-    metrics: &mut Metrics,
-    scratch: &mut LocalityScratch,
-) -> f64 {
-    let id_base = all_blocks.first().map(|b| b.id).unwrap_or(0);
-    scratch.blocks.clear();
-    scratch.in_locality.clear();
-    scratch.in_locality.resize(all_blocks.len(), false);
-    let in_locality = &mut scratch.in_locality;
-    let blocks = &mut scratch.blocks;
-    let passes_threshold = |b: &BlockMeta| match threshold {
-        Some(t) => b.mindist(p) <= t,
-        None => true,
-    };
-
-    // Phase 1: MAXDIST order until `k` points have been accumulated.
-    let mut count = 0usize;
-    let mut maxdist_bound = f64::INFINITY;
-    let mut max_order = BlockOrder::new_in(
-        all_blocks,
-        p,
-        crate::ordering::OrderMetric::MaxDist,
-        &mut scratch.max_order,
-    );
-    let mut seen_maxdist: f64 = 0.0;
-    while count < k {
-        let Some(ob) = max_order.next() else {
-            break; // Fewer than k points in the whole index.
-        };
-        metrics.blocks_scanned += 1;
-        seen_maxdist = seen_maxdist.max(ob.distance);
-        if ob.block.count == 0 {
-            continue;
-        }
-        count += ob.block.count;
-        if passes_threshold(&ob.block) {
-            in_locality[(ob.block.id - id_base) as usize] = true;
-            blocks.push(ob.block);
-            metrics.locality_blocks += 1;
-        }
-    }
-    max_order.recycle(&mut scratch.max_order);
-    if count >= k {
-        maxdist_bound = seen_maxdist;
-    }
-
-    // Phase 2: remaining blocks in MINDIST order while MINDIST <= M.
-    let mut min_order = BlockOrder::new_in(
-        all_blocks,
-        p,
-        crate::ordering::OrderMetric::MinDist,
-        &mut scratch.min_order,
-    );
-    while let Some(ob) = min_order.next() {
-        if ob.distance > maxdist_bound {
-            break;
-        }
-        if let Some(t) = threshold {
-            if ob.distance > t {
-                break;
-            }
-        }
-        if in_locality[(ob.block.id - id_base) as usize] {
-            continue;
-        }
-        metrics.blocks_scanned += 1;
-        if ob.block.count == 0 {
-            continue;
-        }
-        in_locality[(ob.block.id - id_base) as usize] = true;
-        blocks.push(ob.block);
-        metrics.locality_blocks += 1;
-    }
-    min_order.recycle(&mut scratch.min_order);
-
-    maxdist_bound
 }
 
 #[cfg(test)]

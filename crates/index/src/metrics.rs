@@ -16,10 +16,16 @@
 pub struct Metrics {
     /// Number of neighborhood (`getkNN`) computations performed.
     pub neighborhoods_computed: u64,
-    /// Number of blocks examined in MINDIST/MAXDIST scans (including blocks
-    /// only inspected for their count).
+    /// Number of blocks read. In `getkNN` (the MINDIST walk) a block whose
+    /// points went through the distance kernel; in the Counting test a block
+    /// whose count was summed; in the Block-Marking-style algorithms an
+    /// outer block that was classified; in [`crate::Locality`] construction
+    /// a block taken from its MAXDIST/MINDIST order.
     pub blocks_scanned: u64,
-    /// Number of blocks added to localities.
+    /// Number of blocks admitted to a `getkNN` walk: non-empty blocks of a
+    /// visited partition with MINDIST within τ (and the search threshold)
+    /// when the partition's walk began. [`crate::Locality`] construction
+    /// counts the blocks it adds to the locality.
     pub locality_blocks: u64,
     /// Number of individual points examined (distance computed or compared).
     pub points_scanned: u64,
@@ -31,8 +37,11 @@ pub struct Metrics {
     pub cache_hits: u64,
     /// Number of neighborhood-cache misses.
     pub cache_misses: u64,
-    /// Number of blocks pruned without per-point processing
-    /// (Non-Contributing blocks in Block-Marking, contour cut-offs, ...).
+    /// Number of blocks pruned without per-point processing: in `getkNN`,
+    /// the non-empty blocks of a visited partition that the walk never read
+    /// (refused admission, or left in the walk when it stopped past τ); in
+    /// the paper's algorithms, Non-Contributing blocks in Block-Marking,
+    /// contour cut-offs, ...
     pub blocks_pruned: u64,
     /// Number of spatial shards (relation partitions) whose blocks were
     /// actually visited by a scatter-gather kNN scan.

@@ -84,23 +84,6 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Opaque reusable storage for a [`BlockOrder`]'s internal heap.
-///
-/// A fresh ordering normally allocates a heap of `num_blocks` entries;
-/// query-per-point workloads (kNN joins, batched selects) build two orderings
-/// per query. [`BlockOrder::new_in`] takes the entry buffer out of a storage
-/// and [`BlockOrder::recycle`] puts it back, so the allocation is paid once
-/// per [`ScratchSpace`](crate::ScratchSpace), not once per query.
-#[derive(Debug, Default)]
-pub struct OrderStorage(Vec<HeapEntry>);
-
-impl OrderStorage {
-    /// An empty storage; the buffer grows to `num_blocks` on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A lazy MINDIST or MAXDIST ordering over a set of blocks.
 ///
 /// Construction is `O(n)` (heapify); each call to [`BlockOrder::next`] is
@@ -115,39 +98,23 @@ pub struct BlockOrder {
 impl BlockOrder {
     /// Builds an ordering of `blocks` by increasing distance from `origin`.
     pub fn new(blocks: &[BlockMeta], origin: &Point, metric: OrderMetric) -> Self {
-        Self::new_in(blocks, origin, metric, &mut OrderStorage::new())
-    }
-
-    /// Builds an ordering reusing `storage`'s buffer for the internal heap.
-    /// Give the buffer back with [`BlockOrder::recycle`] once the scan is
-    /// done (dropping the ordering instead simply forfeits the reuse).
-    pub fn new_in(
-        blocks: &[BlockMeta],
-        origin: &Point,
-        metric: OrderMetric,
-        storage: &mut OrderStorage,
-    ) -> Self {
-        let mut entries = std::mem::take(&mut storage.0);
-        entries.clear();
-        entries.extend(blocks.iter().map(|b| {
-            let d = match metric {
-                OrderMetric::MinDist => b.mindist_sq(origin),
-                OrderMetric::MaxDist => b.maxdist_sq(origin),
-            };
-            HeapEntry {
-                key: OrderedF64(d),
-                block: *b,
-            }
-        }));
+        let entries: Vec<HeapEntry> = blocks
+            .iter()
+            .map(|b| {
+                let d = match metric {
+                    OrderMetric::MinDist => b.mindist_sq(origin),
+                    OrderMetric::MaxDist => b.maxdist_sq(origin),
+                };
+                HeapEntry {
+                    key: OrderedF64(d),
+                    block: *b,
+                }
+            })
+            .collect();
         Self {
             heap: BinaryHeap::from(entries),
             metric,
         }
-    }
-
-    /// Returns the internal buffer to `storage` for the next ordering.
-    pub fn recycle(self, storage: &mut OrderStorage) {
-        storage.0 = self.heap.into_vec();
     }
 
     /// Convenience constructor for a MINDIST ordering.
@@ -252,26 +219,6 @@ mod tests {
                 assert!(ob.distance >= prev);
                 prev = ob.distance;
             }
-        }
-    }
-
-    #[test]
-    fn recycled_storage_reproduces_the_same_ordering() {
-        let blocks = blocks();
-        let origin = Point::anonymous(-1.0, 0.5);
-        let mut storage = OrderStorage::new();
-        let fresh: Vec<u32> = BlockOrder::mindist(&blocks, &origin)
-            .map(|ob| ob.block.id)
-            .collect();
-        for _ in 0..3 {
-            let mut order =
-                BlockOrder::new_in(&blocks, &origin, OrderMetric::MinDist, &mut storage);
-            let mut ids = Vec::new();
-            while let Some(ob) = order.next() {
-                ids.push(ob.block.id);
-            }
-            assert_eq!(ids, fresh);
-            order.recycle(&mut storage);
         }
     }
 

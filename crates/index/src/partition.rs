@@ -10,7 +10,7 @@
 //!
 //! Indexes that are not sharded simply report no partitions
 //! ([`crate::SpatialIndex::partitions`] defaults to `None`) and the driver
-//! falls back to the flat single-locality scan.
+//! falls back to one flat walk over all blocks.
 
 use twoknn_geometry::{mindist_sq, Point, Rect};
 

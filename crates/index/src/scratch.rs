@@ -1,12 +1,13 @@
 //! Reusable per-query scratch space and the batched "scan block, update
 //! kth-distance threshold" kernel.
 //!
-//! Every `getkNN` call needs the same transient structures: two block-order
-//! heaps (the MAXDIST and MINDIST phases of locality construction), the
-//! locality block list and its membership bitmap, a distance buffer for the
-//! batched block scan, and the bounded candidate heap that tracks the current
-//! k-th distance. Allocating them per query dominates the cost of small-`k`
-//! selects, so [`ScratchSpace`] owns all of them and the `*_in` variants of
+//! Every `getkNN` call needs the same transient structures: the MINDIST²
+//! buffer of the block walk (one `(MINDIST², block id)` entry per admitted
+//! block, popped lazily as a min-heap), the partition order of the
+//! scatter-gather driver, a distance buffer for the batched block scan, and
+//! the bounded candidate heap that tracks the current k-th distance.
+//! Allocating them per query dominates the cost of small-`k` selects, so
+//! [`ScratchSpace`] owns all of them and the `*_in` variants of
 //! [`crate::get_knn`] reuse one scratch across any number of queries.
 //!
 //! ## Lifecycle
@@ -17,8 +18,10 @@
 //! via [`with_thread_scratch`]: a batch of queries executed on one worker
 //! thread (the executor's `execute_batch` partitions, the continuous-query
 //! maintainer's re-evaluation sweep) therefore shares a single set of
-//! allocations automatically — after the first query on a thread, the select
-//! hot path allocates nothing but the returned [`Neighborhood`].
+//! allocations automatically. Each buffer grows to the largest partition (or
+//! block) the thread has walked and is kept; after the first query on a
+//! thread, the select hot path allocates nothing but the returned
+//! [`Neighborhood`].
 //!
 //! ## The kth-distance kernel
 //!
@@ -27,19 +30,20 @@
 //! surviving k points are exactly the ones the row-oriented implementation
 //! kept. [`KthHeap::scan_block`] processes a whole SoA block before touching
 //! the heap: one vectorizable [`euclidean_sq_batch`] pass fills the distance
-//! buffer, then a tight merge loop folds the buffer into the heap. Once the
-//! heap is full, its root is the running k-th distance τ; blocks whose
-//! MINDIST exceeds τ are skipped entirely (strictly greater, so distance
-//! ties keep resolving by id exactly as before).
+//! buffer, then a τ-gated fold offers the heap only the lanes with
+//! `distance² ≤ τ²` (inclusive, so a lane at exactly τ can still win its id
+//! tie-break). Once the heap is full, its root is the running k-th distance
+//! τ; the block walk skips blocks whose MINDIST exceeds τ (strictly, so
+//! distance ties keep resolving by id).
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use twoknn_geometry::{euclidean_sq_batch, Point};
 
-use crate::block::BlockMeta;
 use crate::neighborhood::{Neighbor, Neighborhood};
-use crate::ordering::{OrderStorage, OrderedF64};
+use crate::ordering::OrderedF64;
 
 /// An entry of the bounded candidate heap: a point and its squared distance
 /// from the query. Max-heap order over `(distance, id)`, matching the sort
@@ -143,8 +147,14 @@ impl KthHeap {
     }
 
     /// The block-scan kernel: computes the squared distances from `q` to the
-    /// whole SoA block in one batched column pass (into `dist`), then merges
+    /// whole SoA block in one batched column pass (into `dist`), then folds
     /// the buffer into the heap in a second tight loop.
+    ///
+    /// The fold is τ-gated: only lanes with `distance² ≤ τ²` reach
+    /// [`KthHeap::insert`] — a lane beyond τ² could never displace the root.
+    /// The gate is inclusive so a lane at exactly τ² with a smaller id still
+    /// wins its tie-break, and τ² is re-read only after an insert (the only
+    /// thing that can tighten it).
     pub fn scan_block(
         &mut self,
         q: &Point,
@@ -159,14 +169,19 @@ impl KthHeap {
         dist.resize(n, 0.0);
         euclidean_sq_batch(q.x, q.y, block.xs(), block.ys(), dist);
         let (ids, xs, ys) = (block.ids(), block.xs(), block.ys());
+        let mut tau_sq = self.threshold_sq();
         for i in 0..n {
-            self.insert(dist[i], Point::new(ids[i], xs[i], ys[i]));
+            if dist[i] <= tau_sq {
+                self.insert(dist[i], Point::new(ids[i], xs[i], ys[i]));
+                tau_sq = self.threshold_sq();
+            }
         }
     }
 
     /// The predicate-masked variant of [`KthHeap::scan_block`]: the batched
     /// distance pass runs over the whole block exactly as before, but only
-    /// lanes whose `mask` bit is set are offered to the heap.
+    /// lanes whose `mask` bit is set (and that pass the same τ gate) are
+    /// offered to the heap.
     ///
     /// Used by the filtered kNN kernel: τ then tracks the k-th *matching*
     /// distance, which is never smaller than the unfiltered one, so MINDIST
@@ -187,9 +202,11 @@ impl KthHeap {
         dist.resize(n, 0.0);
         euclidean_sq_batch(q.x, q.y, block.xs(), block.ys(), dist);
         let (ids, xs, ys) = (block.ids(), block.xs(), block.ys());
+        let mut tau_sq = self.threshold_sq();
         for i in 0..n {
-            if mask[i] {
+            if mask[i] && dist[i] <= tau_sq {
                 self.insert(dist[i], Point::new(ids[i], xs[i], ys[i]));
+                tau_sq = self.threshold_sq();
             }
         }
     }
@@ -206,20 +223,6 @@ impl KthHeap {
     }
 }
 
-/// Scratch structures for locality construction: the two block-order heaps,
-/// the collected block list, and the membership bitmap.
-#[derive(Debug, Default)]
-pub(crate) struct LocalityScratch {
-    /// Blocks of the locality, in discovery order (phase 1 then phase 2).
-    pub(crate) blocks: Vec<BlockMeta>,
-    /// Per-block "already in the locality" bitmap, indexed by block id.
-    pub(crate) in_locality: Vec<bool>,
-    /// Reusable storage of the phase-1 MAXDIST heap.
-    pub(crate) max_order: OrderStorage,
-    /// Reusable storage of the phase-2 MINDIST heap.
-    pub(crate) min_order: OrderStorage,
-}
-
 /// All the per-query transient state of the kNN hot path, reusable across
 /// queries. See the module docs for the lifecycle.
 #[derive(Debug, Default)]
@@ -228,8 +231,6 @@ pub struct ScratchSpace {
     pub(crate) dist: Vec<f64>,
     /// The bounded candidate heap.
     pub(crate) kth: KthHeap,
-    /// Locality-construction scratch.
-    pub(crate) locality: LocalityScratch,
     /// Storage of the best-first search's priority queue.
     pub(crate) best_first: Vec<crate::knn::BestFirstEntry>,
     /// `(MINDIST², partition index)` order buffer of the scatter-gather
@@ -238,9 +239,10 @@ pub struct ScratchSpace {
     /// Reusable predicate mask of the filtered block kernel: one bool per
     /// lane of the block being scanned, refilled per block.
     pub(crate) mask: Vec<bool>,
-    /// `(MINDIST², block index)` order buffer of the filtered kernel's
-    /// whole-index block walk.
-    pub(crate) block_order: Vec<(OrderedF64, u32)>,
+    /// `(MINDIST², block id)` buffer of the block walk: refilled per
+    /// partition with the blocks admitted to the walk, then popped lazily as
+    /// a min-heap.
+    pub(crate) block_walk: Vec<Reverse<(OrderedF64, u32)>>,
 }
 
 impl ScratchSpace {

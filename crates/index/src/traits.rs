@@ -63,7 +63,7 @@ pub trait SpatialIndex {
     /// of its non-empty blocks. The kNN driver uses the partitions to visit
     /// shards in MINDIST order and skip the ones whose MINDIST² cannot beat
     /// the running k-th distance. Plain (unsharded) indexes keep the default
-    /// `None` and are scanned as one flat locality.
+    /// `None` and are walked as one flat block set.
     fn partitions(&self) -> Option<&[PartitionMeta]> {
         None
     }

@@ -9,8 +9,8 @@
 //!
 //! * [`geometry`] — points, rectangles, Euclidean / MINDIST / MAXDIST metrics;
 //! * [`index`] — block-based spatial indexes (grid, PR-quadtree, STR R-tree),
-//!   MINDIST/MAXDIST block orderings, the locality-based `getkNN`, and work
-//!   metrics;
+//!   MINDIST/MAXDIST block orderings, `getkNN` (a MINDIST block walk), the
+//!   paper's locality, and work metrics;
 //! * [`datagen`] — workload generators (uniform, clustered, BerlinMOD-like
 //!   synthetic moving-object snapshots);
 //! * [`core`] — the paper's algorithms: Counting, Block-Marking, unchained

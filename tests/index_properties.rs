@@ -3,13 +3,15 @@
 //! locality-based kNN against a brute-force oracle (DESIGN.md §5, 6–9).
 //! Inputs come from the workspace's deterministic RNG instead of `proptest`.
 
+use two_knn::core::output::pair_id_set;
 use two_knn::core::plan::Database;
-use two_knn::core::store::{OverlayConfig, StoreConfig, WriteOp};
+use two_knn::core::select_join::{conceptual, counting, SelectInnerJoinQuery};
+use two_knn::core::store::{OverlayConfig, ShardConfig, StoreConfig, WriteOp};
 use two_knn::datagen::rng::StdRng;
 use two_knn::geometry::{euclidean, maxdist, mindist};
 use two_knn::index::{
-    brute_force_knn, check_index_invariants, get_knn, get_knn_best_first, get_knn_in,
-    get_knn_scalar, Locality, Metrics, ScratchSpace,
+    brute_force_knn, check_index_invariants, get_knn, get_knn_best_first, get_knn_bounded_in,
+    get_knn_in, get_knn_scalar, KthHeap, Locality, Metrics, PointBlock, ScratchSpace,
 };
 use two_knn::{GridIndex, Point, QuadtreeIndex, Rect, SpatialIndex, StrRTree};
 
@@ -385,4 +387,265 @@ fn batched_knn_does_not_drift_across_mixed_ingest_batches() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The MINDIST walk: exact against brute force, ties at τ included
+// ---------------------------------------------------------------------------
+
+/// Points on a coarse even-integer lattice (every squared distance from a
+/// lattice query is an exact integer, so distance ties are everywhere), with
+/// about one in eight points an exact duplicate of an earlier point's
+/// coordinates under a fresh id.
+fn lattice_points(rng: &mut StdRng, n: usize, id_base: u64) -> Vec<Point> {
+    let mut pts: Vec<Point> = Vec::with_capacity(n);
+    for i in 0..n as u64 {
+        let (x, y) = if !pts.is_empty() && rng.gen_range(0..8usize) == 0 {
+            let twin = pts[rng.gen_range(0..pts.len())];
+            (twin.x, twin.y)
+        } else {
+            (
+                rng.gen_range(0..60usize) as f64 * 2.0,
+                rng.gen_range(0..60usize) as f64 * 2.0,
+            )
+        };
+        pts.push(Point::new(id_base + i, x, y));
+    }
+    pts
+}
+
+/// A relation of `shards_per_axis²` shards over lattice points whose reads
+/// all go through a live overlay with tombstones: fresh upserts, moves of
+/// base ids, and removes of base ids, never compacted.
+fn live_relation(rng: &mut StdRng, shards_per_axis: usize) -> Database {
+    let mut db = Database::with_store_config(StoreConfig {
+        compaction_threshold: usize::MAX,
+        overlay: OverlayConfig {
+            cell_target: 4,
+            max_cells_per_axis: 8,
+        },
+        sharding: ShardConfig::per_axis(shards_per_axis),
+        ..StoreConfig::default()
+    });
+    let base = lattice_points(rng, 700, 0);
+    db.register("R", GridIndex::build(base, 8).unwrap());
+    let mut ops = Vec::new();
+    for p in lattice_points(rng, 160, 50_000) {
+        match rng.gen_range(0..4usize) {
+            0 => ops.push(WriteOp::Remove(rng.gen_range(0..700usize) as u64)),
+            1 => ops.push(WriteOp::Upsert(Point::new(
+                rng.gen_range(0..700usize) as u64,
+                p.x,
+                p.y,
+            ))),
+            _ => ops.push(WriteOp::Upsert(p)),
+        }
+    }
+    db.ingest("R", &ops).unwrap();
+    db
+}
+
+/// The walk against the oracle on one index: `get_knn_in` equals brute
+/// force exactly (members, order, tie choices); `get_knn_bounded_in` agrees
+/// with it on every member within the threshold (and entirely when the
+/// threshold covers the true k-th distance).
+///
+/// On an unsharded index (`bounded_by_scalar`) neither scans more points
+/// than the locality-based scalar baseline: the walk reads blocks in MINDIST
+/// order, and once it has read every block with MINDIST ≤ M (the locality's
+/// MAXDIST bound) its heap holds k points within M, so it never reads a
+/// block outside the locality. A sharded index is walked one partition at a
+/// time and the nearest partition alone fills the heap; when that partition
+/// holds few points near the query, its walk can read past the global M, so
+/// the bound is not asserted there.
+fn check_walk(
+    label: &str,
+    index: &dyn SpatialIndex,
+    bounded_by_scalar: bool,
+    rng: &mut StdRng,
+    scratch: &mut ScratchSpace,
+) {
+    for case in 0..24 {
+        // Half the queries sit on the lattice (ties at τ), half anywhere.
+        let q = if case % 2 == 0 {
+            Point::anonymous(
+                rng.gen_range(0..60usize) as f64 * 2.0,
+                rng.gen_range(0..60usize) as f64 * 2.0,
+            )
+        } else {
+            Point::anonymous(
+                rng.gen_range(-20.0f64..140.0),
+                rng.gen_range(-20.0f64..140.0),
+            )
+        };
+        for k in [1usize, 2, 8, 64] {
+            let ctx = format!("{label} case {case} k={k} q=({}, {})", q.x, q.y);
+            let oracle = brute_force_knn(index, &q, k);
+
+            let (mut walk_m, mut scalar_m) = (Metrics::default(), Metrics::default());
+            let walked = get_knn_in(index, &q, k, &mut walk_m, scratch);
+            assert_eq!(walked, oracle, "{ctx}");
+            assert_eq!(walked, get_knn_scalar(index, &q, k, &mut scalar_m), "{ctx}");
+            assert!(
+                !bounded_by_scalar || walk_m.points_scanned <= scalar_m.points_scanned,
+                "{ctx}: walk scanned {} points, scalar {}",
+                walk_m.points_scanned,
+                scalar_m.points_scanned
+            );
+
+            // Thresholds below, at (an exact lattice distance) and above τ.
+            let tau = oracle.radius();
+            for threshold in [rng.gen_range(0.0f64..40.0), tau, tau + 1.0] {
+                let mut m = Metrics::default();
+                let bounded = get_knn_bounded_in(index, &q, k, threshold, &mut m, scratch);
+                let within = |n: &two_knn::Neighborhood| -> Vec<u64> {
+                    n.members()
+                        .iter()
+                        .filter(|nb| nb.distance <= threshold)
+                        .map(|nb| nb.point.id)
+                        .collect()
+                };
+                assert_eq!(within(&bounded), within(&oracle), "{ctx} t={threshold}");
+                if threshold >= tau {
+                    assert_eq!(bounded, oracle, "{ctx} t={threshold}");
+                }
+                assert!(
+                    !bounded_by_scalar || m.points_scanned <= scalar_m.points_scanned,
+                    "{ctx} t={threshold}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn mindist_walk_matches_brute_force_with_ties_on_every_family() {
+    let mut scratch = ScratchSpace::new();
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(8_000 + seed);
+        let pts = lattice_points(&mut rng, 600, 0);
+        for (family, index) in build_families(&pts) {
+            check_walk(family, index.as_ref(), true, &mut rng, &mut scratch);
+        }
+    }
+}
+
+#[test]
+fn mindist_walk_matches_brute_force_on_a_sharded_live_snapshot() {
+    let mut scratch = ScratchSpace::new();
+    for seed in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(9_000 + seed);
+        let db = live_relation(&mut rng, 4);
+        let snap = db.relation("R").unwrap();
+        assert!(snap.delta_len() > 0, "reads must go through the overlay");
+        let populated = snap
+            .partitions()
+            .expect("a 4x4 relation exposes partitions")
+            .iter()
+            .filter(|p| !p.is_empty())
+            .count();
+        assert!(populated > 8, "lattice points must populate most shards");
+        check_walk("sharded", &*snap, false, &mut rng, &mut scratch);
+
+        // The same live overlay on one shard is a flat walk again.
+        let db = live_relation(&mut rng, 1);
+        check_walk(
+            "single-shard",
+            &*db.relation("R").unwrap(),
+            true,
+            &mut rng,
+            &mut scratch,
+        );
+    }
+}
+
+/// The τ gate of the block-scan fold is inclusive: a lane at exactly τ²
+/// whose id is smaller than the root's passes the gate and replaces the
+/// root, exactly as an unconditional insert would.
+#[test]
+fn kth_heap_gate_admits_an_exact_tau_tie_with_a_smaller_id() {
+    let q = Point::anonymous(0.0, 0.0);
+    let mut heap = KthHeap::new(2);
+    heap.insert(1.0, Point::new(5, 1.0, 0.0));
+    heap.insert(4.0, Point::new(9, 2.0, 0.0));
+    assert_eq!(heap.threshold_sq(), 4.0);
+
+    // Lane 0 is beyond τ², lane 1 ties τ² with a smaller id, lane 2 ties
+    // with a larger id.
+    let block: PointBlock = [
+        Point::new(1, 3.0, 0.0),
+        Point::new(3, 0.0, 2.0),
+        Point::new(12, 0.0, -2.0),
+    ]
+    .into_iter()
+    .collect();
+    let mut dist = Vec::new();
+    heap.scan_block(&q, block.view(), &mut dist);
+    assert_eq!(heap.threshold_sq(), 4.0);
+    assert_eq!(heap.finish(q, 2).ids(), vec![5, 3]);
+}
+
+/// Counting against the conceptual plan on a 4×4-sharded inner relation
+/// whose blocks are single points (R-tree leaves of capacity 1): a block's
+/// MAXDIST is then exactly its point's distance, and on the lattice many
+/// outer points have inner points at exactly the search threshold. The
+/// `MAXDIST >= threshold` exclusion must keep those cases exact: counting
+/// the tied blocks too would prune outer points whose neighborhood reaches
+/// a select member at exactly the threshold.
+#[test]
+fn counting_matches_conceptual_on_a_sharded_inner_with_threshold_ties() {
+    let mut rng = StdRng::seed_from_u64(10_000);
+    let mut db = Database::with_store_config(StoreConfig {
+        sharding: ShardConfig::per_axis(4),
+        ..StoreConfig::default()
+    });
+    db.register(
+        "Inner",
+        StrRTree::build(lattice_points(&mut rng, 500, 0), 1).unwrap(),
+    );
+    db.register(
+        "Outer",
+        GridIndex::build(lattice_points(&mut rng, 150, 100_000), 6).unwrap(),
+    );
+    let inner = db.relation("Inner").unwrap();
+    let outer = db.relation("Outer").unwrap();
+    assert!(inner.partitions().is_some_and(|p| p.len() == 16));
+    assert!(inner.blocks().iter().all(|b| b.count <= 1));
+    let all_inner = inner.all_points();
+
+    // Outer points in the answer that only the strict exclusion keeps:
+    // more than k⋈ inner points lie at or within the search threshold.
+    let mut saved_by_strictness = 0;
+    let mut pruned = 0;
+    for focal in 0..16 {
+        let focal = Point::anonymous((focal % 4 * 36 + 6) as f64, (focal / 4 * 36 + 6) as f64);
+        for (k_join, k_select) in [(1, 1), (2, 3), (3, 2), (4, 5), (8, 8)] {
+            let query = SelectInnerJoinQuery::new(k_join, k_select, focal);
+            let fast = counting(&*outer, &*inner, &query);
+            let slow = conceptual(&*outer, &*inner, &query);
+            let answer = pair_id_set(&slow.rows);
+            assert_eq!(
+                pair_id_set(&fast.rows),
+                answer,
+                "k_join={k_join} k_select={k_select} focal=({}, {})",
+                focal.x,
+                focal.y
+            );
+            pruned += fast.metrics.points_pruned;
+
+            let nbr_f = brute_force_knn(&*inner, &focal, k_select);
+            for e1 in outer.all_points() {
+                let t = nbr_f.nearest_distance_from(&e1).unwrap();
+                let at_or_within = all_inner.iter().filter(|i| e1.distance(i) <= t).count();
+                if at_or_within > k_join && answer.iter().any(|&(o, _)| o == e1.id) {
+                    saved_by_strictness += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        saved_by_strictness > 0,
+        "no answer hinged on a threshold tie"
+    );
+    assert!(pruned > 0, "the count test never pruned");
 }

@@ -357,3 +357,148 @@ fn compiled_plans_expose_operator_metadata() {
         }
     }
 }
+
+/// Golden rendering of every compiled plan: for each `(spec, strategy)` pair
+/// of [`specs`] × [`strategies_for`] (the 16 unfiltered strategies plus the
+/// pre- and post-filtered specs), the operator name, detail string, row
+/// schema and EXPLAIN line, verbatim. A refactor of the physical layer must
+/// leave every one of them unchanged.
+#[test]
+fn compiled_plans_render_exactly_as_before() {
+    const GOLDEN: &[(&str, &str, RowSchema, &str)] = &[
+        (
+            "select-inner-conceptual",
+            "k_join=3 k_select=6 focal=(52000, 49000)",
+            RowSchema::Pairs,
+            "select-inner-conceptual [select-inner/Conceptual] -> Pairs",
+        ),
+        (
+            "counting",
+            "k_join=3 k_select=6 focal=(52000, 49000)",
+            RowSchema::Pairs,
+            "counting [select-inner/Counting] -> Pairs",
+        ),
+        (
+            "block-marking",
+            "k_join=3 k_select=6 focal=(52000, 49000)",
+            RowSchema::Pairs,
+            "block-marking [select-inner/BlockMarking] -> Pairs",
+        ),
+        (
+            "outer-select-after-join",
+            "k_join=3 k_select=5 focal=(52000, 49000)",
+            RowSchema::Pairs,
+            "outer-select-after-join [select-outer/SelectAfterJoin] -> Pairs",
+        ),
+        (
+            "outer-pushdown",
+            "k_join=3 k_select=5 focal=(52000, 49000)",
+            RowSchema::Pairs,
+            "outer-pushdown [select-outer/Pushdown] -> Pairs",
+        ),
+        (
+            "unchained-conceptual",
+            "k_ab=2 k_cb=3",
+            RowSchema::Triplets,
+            "unchained-conceptual [unchained/Conceptual] -> Triplets",
+        ),
+        (
+            "unchained-block-marking(A⋈B first)",
+            "k_ab=2 k_cb=3",
+            RowSchema::Triplets,
+            "unchained-block-marking(A⋈B first) [unchained/BlockMarkingStartWithA] -> Triplets",
+        ),
+        (
+            "unchained-block-marking(C⋈B first)",
+            "k_ab=2 k_cb=3",
+            RowSchema::Triplets,
+            "unchained-block-marking(C⋈B first) [unchained/BlockMarkingStartWithC] -> Triplets",
+        ),
+        (
+            "chained-right-deep",
+            "k_ab=2 k_bc=2",
+            RowSchema::Triplets,
+            "chained-right-deep [chained/RightDeep] -> Triplets",
+        ),
+        (
+            "chained-join-intersection",
+            "k_ab=2 k_bc=2",
+            RowSchema::Triplets,
+            "chained-join-intersection [chained/JoinIntersection] -> Triplets",
+        ),
+        (
+            "chained-nested",
+            "k_ab=2 k_bc=2",
+            RowSchema::Triplets,
+            "chained-nested [chained/NestedJoin] -> Triplets",
+        ),
+        (
+            "chained-nested-cached",
+            "k_ab=2 k_bc=2",
+            RowSchema::Triplets,
+            "chained-nested-cached [chained/NestedJoinCached] -> Triplets",
+        ),
+        (
+            "two-selects-conceptual",
+            "k1=8 f1=(52000, 49000) k2=64 f2=(48500, 51500)",
+            RowSchema::Points,
+            "two-selects-conceptual [two-selects/Conceptual] -> Points",
+        ),
+        (
+            "2-knn-select",
+            "k1=8 f1=(52000, 49000) k2=64 f2=(48500, 51500)",
+            RowSchema::Points,
+            "2-knn-select [two-selects/TwoKnnSelect] -> Points",
+        ),
+        (
+            "knn-select",
+            "k=9 focal=(52000, 49000)",
+            RowSchema::Points,
+            "knn-select [select/FilteredKernel] -> Points",
+        ),
+        (
+            "knn-select-scan",
+            "k=9 focal=(52000, 49000)",
+            RowSchema::Points,
+            "knn-select-scan [select/FilterThenScan] -> Points",
+        ),
+        (
+            "residual-filter",
+            "1 filtered roles",
+            RowSchema::Points,
+            "residual-filter(1 roles) <- knn-select [select/FilteredKernel] -> Points",
+        ),
+        (
+            "residual-filter",
+            "1 filtered roles",
+            RowSchema::Points,
+            "residual-filter(1 roles) <- knn-select-scan [select/FilterThenScan] -> Points",
+        ),
+        (
+            "filtered-two-selects",
+            "k1=10 f1=(52000, 49000) k2=48 f2=(48500, 51500) pre-filtered",
+            RowSchema::Points,
+            "filtered-two-selects [two-selects/Conceptual] -> Points",
+        ),
+        (
+            "filtered-two-selects",
+            "k1=10 f1=(52000, 49000) k2=48 f2=(48500, 51500) pre-filtered",
+            RowSchema::Points,
+            "filtered-two-selects [two-selects/TwoKnnSelect] -> Points",
+        ),
+    ];
+    let (_, db) = databases().remove(0);
+    let mut compiled = Vec::new();
+    for (spec, _) in specs() {
+        for strategy in strategies_for(&spec) {
+            compiled.push(db.compile(&spec, strategy).unwrap());
+        }
+    }
+    assert_eq!(compiled.len(), GOLDEN.len());
+    for (plan, &(name, detail, schema, explain)) in compiled.iter().zip(GOLDEN) {
+        assert_eq!(plan.name(), name);
+        assert_eq!(plan.detail(), detail, "{name}");
+        assert_eq!(plan.schema(), schema, "{name}");
+        assert_eq!(plan.explain(), explain, "{name}");
+    }
+}

@@ -1,18 +1,19 @@
 //! Ablation A3: serial vs multi-core execution of the hot paths.
 //!
-//! Compares [`ExecutionMode::Serial`] against [`ExecutionMode::Parallel`]
-//! for Block-Marking (select-inner-of-join) and the unchained two-join
-//! Block-Marking on a 100k-point BerlinMOD-like workload, and prints the
-//! speedups together with the core count — the parallel paths only pay off
-//! on multi-core hardware (build with `--features parallel`; without the
-//! feature, parallel mode falls back to serial and the speedup is ~1×).
+//! Compares [`ExecutionMode::Serial`] against [`ExecutionMode::Pooled`] on
+//! a [`WorkerPool`] of `--threads` workers for Block-Marking
+//! (select-inner-of-join) and the unchained two-join Block-Marking on a
+//! 100k-point BerlinMOD-like workload, and prints the speedups together
+//! with the core count — the parallel paths only pay off on multi-core
+//! hardware (build with `--features parallel`; without the feature, pooled
+//! mode falls back to serial and the speedup is ~1×).
 //!
 //! Usage: `cargo bench -p twoknn-bench --bench ablation_parallel --
 //! [--points N] [--threads N]`
 
 use twoknn_bench::micro::BenchGroup;
 use twoknn_bench::workloads;
-use twoknn_core::exec::{available_threads, ExecutionMode};
+use twoknn_core::exec::{available_threads, ExecutionMode, WorkerPool};
 use twoknn_core::joins2::{unchained_block_marking_with_mode, UnchainedJoinQuery};
 use twoknn_core::select_join::{block_marking_with_mode, BlockMarkingConfig, SelectInnerJoinQuery};
 
@@ -36,7 +37,7 @@ fn main() {
         }
         i += 1;
     }
-    let parallel = ExecutionMode::Parallel { threads };
+    let pool = WorkerPool::new(threads);
     println!(
         "ablation_parallel: {points} outer points, {threads} worker threads \
          ({} hardware threads, parallel feature {})",
@@ -44,7 +45,7 @@ fn main() {
         if cfg!(feature = "parallel") {
             "ON"
         } else {
-            "OFF — parallel falls back to serial"
+            "OFF — pooled falls back to serial"
         },
     );
 
@@ -59,7 +60,9 @@ fn main() {
             block_marking_with_mode(&outer, &inner, &query, &cfg, ExecutionMode::Serial)
         });
         let par = group.bench(&format!("parallel_{threads}_threads"), || {
-            block_marking_with_mode(&outer, &inner, &query, &cfg, parallel)
+            pool.bind(|| {
+                block_marking_with_mode(&outer, &inner, &query, &cfg, ExecutionMode::Pooled)
+            })
         });
         println!(
             "block-marking speedup: {:.2}x (serial {:.1} ms -> parallel {:.1} ms)",
@@ -80,7 +83,9 @@ fn main() {
             unchained_block_marking_with_mode(&a, &b, &c, &query, ExecutionMode::Serial)
         });
         let par = group.bench(&format!("parallel_{threads}_threads"), || {
-            unchained_block_marking_with_mode(&a, &b, &c, &query, parallel)
+            pool.bind(|| {
+                unchained_block_marking_with_mode(&a, &b, &c, &query, ExecutionMode::Pooled)
+            })
         });
         println!(
             "unchained-join speedup: {:.2}x (serial {:.1} ms -> parallel {:.1} ms)",

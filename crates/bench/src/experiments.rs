@@ -4,7 +4,7 @@
 //! cardinalities, and returns a [`Report`] whose rendered table has the same
 //! shape as the paper's plot (same x-axis, same series).
 
-use twoknn_core::exec::{available_threads, ExecutionMode};
+use twoknn_core::exec::{available_threads, ExecutionMode, WorkerPool};
 use twoknn_core::joins2::{
     chained_join_intersection, chained_nested, chained_nested_cached, unchained_block_marking,
     unchained_block_marking_with_mode, unchained_conceptual, ChainedJoinQuery, UnchainedJoinQuery,
@@ -374,9 +374,11 @@ pub fn ablation_block_marking(scale: Scale) -> Report {
 }
 
 /// Ablation A3: serial vs multi-core execution of the hot paths
-/// (Block-Marking and the unchained two-join Block-Marking). With the
-/// `parallel` feature disabled the parallel mode falls back to serial and
-/// both series coincide; with it enabled the speedup tracks the core count.
+/// (Block-Marking and the unchained two-join Block-Marking), the parallel
+/// series running `Pooled` on a [`WorkerPool`] of `available_threads()`.
+/// With the `parallel` feature disabled the pooled mode falls back to
+/// serial and both series coincide; with it enabled the speedup tracks the
+/// core count.
 pub fn ablation_parallel(scale: Scale) -> Report {
     let threads = available_threads();
     let mut report = Report::new(
@@ -384,7 +386,7 @@ pub fn ablation_parallel(scale: Scale) -> Report {
         &format!("serial vs parallel execution ({threads} worker threads)"),
         "workload",
     );
-    let parallel = ExecutionMode::Parallel { threads };
+    let pool = WorkerPool::new(threads);
     let n_outer = match scale {
         Scale::Smoke => 2_000,
         Scale::Quick => 100_000,
@@ -401,8 +403,11 @@ pub fn ablation_parallel(scale: Scale) -> Report {
         let (t_serial, serial) = time_ms(|| {
             block_marking_with_mode(&outer, &inner, &query, &cfg, ExecutionMode::Serial)
         });
-        let (t_par, par) =
-            time_ms(|| block_marking_with_mode(&outer, &inner, &query, &cfg, parallel));
+        let (t_par, par) = time_ms(|| {
+            pool.bind(|| {
+                block_marking_with_mode(&outer, &inner, &query, &cfg, ExecutionMode::Pooled)
+            })
+        });
         assert_same_rows(&serial, &par, "ablation_parallel/block_marking");
         record(&mut report, "block-marking", "serial", t_serial, &serial);
         record(&mut report, "block-marking", "parallel", t_par, &par);
@@ -417,8 +422,11 @@ pub fn ablation_parallel(scale: Scale) -> Report {
         let (t_serial, serial) = time_ms(|| {
             unchained_block_marking_with_mode(&a, &b, &c, &query, ExecutionMode::Serial)
         });
-        let (t_par, par) =
-            time_ms(|| unchained_block_marking_with_mode(&a, &b, &c, &query, parallel));
+        let (t_par, par) = time_ms(|| {
+            pool.bind(|| {
+                unchained_block_marking_with_mode(&a, &b, &c, &query, ExecutionMode::Pooled)
+            })
+        });
         assert_same_rows(&serial, &par, "ablation_parallel/unchained");
         record(&mut report, "unchained-joins", "serial", t_serial, &serial);
         record(&mut report, "unchained-joins", "parallel", t_par, &par);

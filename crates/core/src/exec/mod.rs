@@ -11,16 +11,15 @@
 //!   ([`Database::execute_batch`](crate::plan::Database::execute_batch)) and
 //!   the operator-level block tasks they spawn go through the **same
 //!   queue**, so the thread budget is one global number and nested
-//!   parallelism never oversubscribes the machine;
-//! * [`ExecutionMode::Parallel`] — the legacy spawn-per-phase mode: a fresh
-//!   scoped-thread team per call. Kept for explicit thread-count control and
-//!   as the baseline the `ablation_pool` bench compares the pool against.
+//!   parallelism never oversubscribes the machine. To run on a pool of a
+//!   chosen size, call the operator inside [`WorkerPool::bind`] on a
+//!   [`WorkerPool::new`] of that parallelism.
 //!
 //! # Scheduling and the determinism guarantee
 //!
-//! Parallel runs (pooled or scoped) use dynamic scheduling: team members
-//! pull the next item index from a shared atomic cursor, so one expensive
-//! item cannot serialize the run the way fixed chunking would. Each member
+//! Pooled runs use dynamic scheduling: team members pull the next item
+//! index from a shared atomic cursor, so one expensive item cannot
+//! serialize the run the way fixed chunking would. Each member
 //! accumulates rows tagged with their item index and its own private
 //! [`Metrics`]; the driver then sorts the tagged outputs back into item
 //! order and merges the per-member counters. **Every mode produces
@@ -35,8 +34,8 @@
 //! everything but that cached join.
 //!
 //! Single-item and single-thread inputs short-circuit to the plain serial
-//! loop before any pool submission or thread spawn, so trivial phases pay
-//! no synchronization cost.
+//! loop before any pool submission, so trivial phases pay no
+//! synchronization cost.
 //!
 //! Real threading is engaged by the mode-driven entry points only with the
 //! `parallel` cargo feature; the APIs are identical without it (everything
@@ -60,27 +59,9 @@ pub enum ExecutionMode {
     /// pool job, the global pool otherwise). Falls back to serial when the
     /// `parallel` feature is off.
     Pooled,
-    /// Multi-core execution over `threads` freshly spawned scoped worker
-    /// threads (clamped to at least 1) — one team per call. Prefer
-    /// [`ExecutionMode::Pooled`]; this mode remains for explicit
-    /// thread-count control and as the spawn-per-phase ablation baseline.
-    /// Falls back to serial when the `parallel` feature is off.
-    Parallel {
-        /// Number of worker threads to use.
-        threads: usize,
-    },
 }
 
 impl ExecutionMode {
-    /// Parallel execution over all available cores with a scoped thread team
-    /// per call (the spawn-per-phase baseline; prefer
-    /// [`ExecutionMode::pooled`]).
-    pub fn parallel() -> Self {
-        ExecutionMode::Parallel {
-            threads: available_threads(),
-        }
-    }
-
     /// Execution on the shared persistent worker pool.
     pub fn pooled() -> Self {
         ExecutionMode::Pooled
@@ -108,13 +89,6 @@ impl ExecutionMode {
             ExecutionMode::Pooled => {
                 if cfg!(feature = "parallel") {
                     WorkerPool::current().parallelism()
-                } else {
-                    1
-                }
-            }
-            ExecutionMode::Parallel { threads } => {
-                if cfg!(feature = "parallel") {
-                    (*threads).max(1)
                 } else {
                     1
                 }
@@ -149,7 +123,7 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `work` once per item, serially or across threads per `mode`.
+/// Runs `work` once per item, serially or across pool workers per `mode`.
 ///
 /// `work` receives the item, an output vector to push result rows into, and a
 /// metrics accumulator. Outputs are concatenated **in item order** regardless
@@ -158,8 +132,8 @@ pub fn available_threads() -> usize {
 /// counters (for algorithms whose per-item work is schedule-independent).
 ///
 /// Inputs with a single item, or modes with a single effective thread, run
-/// the plain serial loop directly — no pool submission, no thread spawn, no
-/// tag-and-sort reassembly.
+/// the plain serial loop directly — no pool submission, no tag-and-sort
+/// reassembly.
 pub fn run_partitioned<T, R, F>(
     items: &[T],
     mode: ExecutionMode,
@@ -175,11 +149,7 @@ where
     if threads <= 1 {
         return run_serial(items, metrics, &work);
     }
-    match mode {
-        ExecutionMode::Serial => unreachable!("serial mode short-circuits above"),
-        ExecutionMode::Pooled => run_pooled(items, &WorkerPool::current(), threads, metrics, &work),
-        ExecutionMode::Parallel { .. } => run_threaded(items, threads, metrics, &work),
-    }
+    run_pooled(items, &WorkerPool::current(), threads, metrics, &work)
 }
 
 /// Runs `work` once per item, partitioned over an **explicit** worker pool
@@ -247,8 +217,7 @@ where
 /// Dynamic-scheduled partitioned run on a persistent [`WorkerPool`]:
 /// `threads − 1` copies of the cursor-pulling task are broadcast to the pool
 /// and the calling thread joins as the final team member. Per-member tagged
-/// outputs are reassembled in item order and per-member metrics merged — the
-/// exact semantics of [`run_threaded`] without the per-call thread spawn.
+/// outputs are reassembled in item order and per-member metrics merged.
 fn run_pooled<T, R, F>(
     items: &[T],
     pool: &WorkerPool,
@@ -298,93 +267,9 @@ where
     out
 }
 
-/// The spawn-per-phase baseline: a fresh scoped-thread team for this call,
-/// with the same dynamic scheduling and order-restoring reassembly as
-/// [`run_pooled`].
-#[cfg(feature = "parallel")]
-fn run_threaded<T, R, F>(items: &[T], threads: usize, metrics: &mut Metrics, work: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut Vec<R>, &mut Metrics) + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    // Dynamic scheduling: workers pull the next item index from a shared
-    // counter, so a single expensive item (e.g. one dense block) cannot
-    // serialize the run the way fixed chunking would.
-    let cursor = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, Vec<R>)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            handles.push(scope.spawn(|| {
-                let mut local_metrics = Metrics::default();
-                let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let mut out = Vec::new();
-                    work(&items[i], &mut out, &mut local_metrics);
-                    local.push((i, out));
-                }
-                (local, local_metrics)
-            }));
-        }
-        for handle in handles {
-            let (local, local_metrics) = handle.join().expect("worker thread panicked");
-            metrics.merge(&local_metrics);
-            tagged.extend(local);
-        }
-    });
-    // Restore item order for deterministic output.
-    tagged.sort_unstable_by_key(|(i, _)| *i);
-    let mut out = Vec::with_capacity(tagged.iter().map(|(_, v)| v.len()).sum());
-    for (_, mut v) in tagged {
-        out.append(&mut v);
-    }
-    out
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_threaded<T, R, F>(items: &[T], _threads: usize, metrics: &mut Metrics, work: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut Vec<R>, &mut Metrics) + Sync,
-{
-    run_serial(items, metrics, work)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn serial_and_parallel_produce_identical_ordered_output() {
-        let items: Vec<u64> = (0..1_000).collect();
-        let work = |item: &u64, out: &mut Vec<u64>, metrics: &mut Metrics| {
-            metrics.points_scanned += 1;
-            out.push(item * 2);
-            if item % 3 == 0 {
-                out.push(item * 2 + 1);
-            }
-        };
-        let mut m_serial = Metrics::default();
-        let serial = run_partitioned(&items, ExecutionMode::Serial, &mut m_serial, work);
-        let mut m_par = Metrics::default();
-        let parallel = run_partitioned(
-            &items,
-            ExecutionMode::Parallel { threads: 7 },
-            &mut m_par,
-            work,
-        );
-        assert_eq!(serial, parallel);
-        assert_eq!(m_serial, m_par);
-        assert_eq!(m_serial.points_scanned, 1_000);
-    }
 
     #[test]
     fn serial_and_pooled_produce_identical_ordered_output() {
@@ -398,20 +283,21 @@ mod tests {
         };
         let mut m_serial = Metrics::default();
         let serial = run_partitioned(&items, ExecutionMode::Serial, &mut m_serial, work);
-        let mut m_pool = Metrics::default();
-        let pooled = run_partitioned(&items, ExecutionMode::Pooled, &mut m_pool, work);
-        assert_eq!(serial, pooled);
-        assert_eq!(m_serial, m_pool);
+        assert_eq!(m_serial.points_scanned, 1_000);
+        // The global pool, and a 7-way pool whatever the machine's core count.
+        for pool in [WorkerPool::current(), WorkerPool::new(7)] {
+            let mut m_pool = Metrics::default();
+            let pooled =
+                pool.bind(|| run_partitioned(&items, ExecutionMode::Pooled, &mut m_pool, work));
+            assert_eq!(serial, pooled);
+            assert_eq!(m_serial, m_pool);
+        }
     }
 
     #[test]
     fn empty_input_is_fine_in_every_mode() {
         let items: Vec<u64> = Vec::new();
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::parallel(),
-            ExecutionMode::Pooled,
-        ] {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled] {
             let mut m = Metrics::default();
             let out = run_partitioned(&items, mode, &mut m, |_, _out: &mut Vec<u64>, _| {});
             assert!(out.is_empty());
@@ -421,15 +307,13 @@ mod tests {
     #[test]
     fn single_item_input_short_circuits_in_every_mode() {
         let items = [41u64];
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::Parallel { threads: 8 },
-            ExecutionMode::Pooled,
-        ] {
+        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled] {
             let mut m = Metrics::default();
-            let out = run_partitioned(&items, mode, &mut m, |item, out, m| {
-                m.points_scanned += 1;
-                out.push(item + 1);
+            let out = WorkerPool::new(8).bind(|| {
+                run_partitioned(&items, mode, &mut m, |item, out, m| {
+                    m.points_scanned += 1;
+                    out.push(item + 1);
+                })
             });
             assert_eq!(out, vec![42]);
             assert_eq!(m.points_scanned, 1);
@@ -439,9 +323,8 @@ mod tests {
     #[test]
     fn effective_threads_is_at_least_one() {
         assert_eq!(ExecutionMode::Serial.effective_threads(), 1);
-        let p = ExecutionMode::Parallel { threads: 0 };
-        assert!(p.effective_threads() >= 1);
         assert!(ExecutionMode::Pooled.effective_threads() >= 1);
+        assert!(WorkerPool::new(0).bind(|| ExecutionMode::Pooled.effective_threads()) >= 1);
         assert!(available_threads() >= 1);
     }
 

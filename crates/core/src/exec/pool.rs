@@ -3,12 +3,11 @@
 //!
 //! # Why a pool
 //!
-//! The scoped-thread path ([`ExecutionMode::Parallel`](super::ExecutionMode))
-//! spawns a fresh thread team for *every operator phase*. A multi-phase plan
-//! (e.g. a chained join evaluating two joins plus an intersection) or a batch
-//! of thousands of queries pays thread-creation cost per phase per query.
-//! [`WorkerPool`] amortizes that cost: worker threads are spawned once, on
-//! first use, and every execution layer — batch-level query tasks and
+//! Spawning a fresh thread team for *every operator phase* would make a
+//! multi-phase plan (e.g. a chained join evaluating two joins plus an
+//! intersection) or a batch of thousands of queries pay thread-creation cost
+//! per phase per query. [`WorkerPool`] amortizes that cost: worker threads
+//! are spawned once, on first use, and every execution layer — batch-level query tasks and
 //! operator-level block tasks alike — submits jobs to the **same queue**, so
 //! the process-wide thread budget is a single number no matter how deeply the
 //! layers nest.

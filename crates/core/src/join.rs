@@ -7,10 +7,9 @@
 //! relation, its neighborhood in the inner relation via `getkNN` — exactly
 //! the strategy the paper assumes for its conceptually correct QEPs (which
 //! neighborhood algorithm runs underneath is left open by the paper; the
-//! index layer uses a MINDIST block walk). A thread-parallel variant is provided for large outer
-//! relations; it partitions the outer relation's blocks across threads and
-//! merges per-thread metrics, producing the same result set as the
-//! sequential operator.
+//! index layer uses a MINDIST block walk). [`knn_join_rows_with_mode`]
+//! partitions the outer relation's blocks over the worker pool and merges
+//! per-worker metrics, producing the same rows as the sequential operator.
 
 use twoknn_geometry::Point;
 use twoknn_index::{get_knn, Metrics, SpatialIndex};
@@ -104,59 +103,10 @@ where
     pairs
 }
 
-/// Multi-core kNN-join on the shared persistent worker pool: outer blocks
-/// are distributed over the pool's workers with dynamic scheduling (each
-/// team member pulls the next block), and the rows are reassembled in block
-/// order. The result set is identical to [`knn_join`] (including row
-/// order); metrics are the merged per-worker work.
-///
-/// Real threading requires the `parallel` cargo feature; without it this
-/// runs serially (same results, one thread) — see
-/// [`crate::exec::ExecutionMode`].
-pub fn knn_join_pooled<O, I>(outer: &O, inner: &I, k: usize) -> QueryOutput<Pair>
-where
-    O: SpatialIndex + Sync + ?Sized,
-    I: SpatialIndex + Sync + ?Sized,
-{
-    let mut metrics = Metrics::default();
-    let rows = knn_join_rows_with_mode(outer, inner, k, ExecutionMode::Pooled, &mut metrics);
-    QueryOutput::new(rows, metrics)
-}
-
-/// Thread-parallel kNN-join over a **freshly spawned** scoped team of
-/// `num_threads` workers (the spawn-per-phase baseline; prefer
-/// [`knn_join_pooled`], which amortizes thread creation across queries).
-/// Scheduling, row order and metrics semantics match [`knn_join_pooled`].
-///
-/// Real threading requires the `parallel` cargo feature; without it this
-/// runs serially (same results, one thread) — see
-/// [`crate::exec::ExecutionMode`].
-pub fn knn_join_parallel<O, I>(
-    outer: &O,
-    inner: &I,
-    k: usize,
-    num_threads: usize,
-) -> QueryOutput<Pair>
-where
-    O: SpatialIndex + Sync + ?Sized,
-    I: SpatialIndex + Sync + ?Sized,
-{
-    let mut metrics = Metrics::default();
-    let rows = knn_join_rows_with_mode(
-        outer,
-        inner,
-        k,
-        ExecutionMode::Parallel {
-            threads: num_threads,
-        },
-        &mut metrics,
-    );
-    QueryOutput::new(rows, metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::WorkerPool;
     use crate::output::pair_id_set;
     use twoknn_index::{brute_force_knn, GridIndex};
 
@@ -214,28 +164,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_join_matches_sequential() {
-        let outer = relation(80, 1.1, 0.0);
-        let inner = relation(120, 0.8, 0.5);
-        let seq = knn_join(&outer, &inner, 5);
-        let par = knn_join_parallel(&outer, &inner, 5, 4);
-        assert_eq!(pair_id_set(&seq.rows), pair_id_set(&par.rows));
-        assert_eq!(
-            seq.metrics.neighborhoods_computed,
-            par.metrics.neighborhoods_computed
-        );
-    }
-
-    #[test]
     fn pooled_join_matches_sequential_exactly() {
         let outer = relation(80, 1.1, 0.0);
         let inner = relation(120, 0.8, 0.5);
         let seq = knn_join(&outer, &inner, 5);
-        let pooled = knn_join_pooled(&outer, &inner, 5);
-        // Not just the same set: the same rows in the same order, with the
-        // same merged work counters.
-        assert_eq!(seq.rows, pooled.rows);
-        assert_eq!(seq.metrics, pooled.metrics);
+        // The global pool, and a 4-way pool whatever the machine's core count.
+        for pool in [WorkerPool::current(), WorkerPool::new(4)] {
+            let mut metrics = Metrics::default();
+            let rows = pool.bind(|| {
+                knn_join_rows_with_mode(&outer, &inner, 5, ExecutionMode::Pooled, &mut metrics)
+            });
+            // Not just the same set: the same rows in the same order, with
+            // the same merged work counters.
+            assert_eq!(seq.rows, rows);
+            assert_eq!(seq.metrics, metrics);
+        }
     }
 
     #[test]

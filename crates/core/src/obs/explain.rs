@@ -18,7 +18,8 @@ use crate::plan::strategy::Strategy;
 /// One operator of the compiled physical plan, structurally.
 #[derive(Debug, Clone)]
 pub struct OpNode {
-    /// The operator's [`PhysicalPlan::name`].
+    /// The operator's name ([`Op::name`](crate::plan::physical::Op::name),
+    /// or `residual-filter` for [`PhysicalPlan::post`]).
     pub name: &'static str,
     /// The strategy the operator implements.
     pub strategy: Strategy,
@@ -32,13 +33,23 @@ pub struct OpNode {
 
 impl OpNode {
     /// Captures a compiled plan's operator tree.
-    pub fn from_plan(plan: &dyn PhysicalPlan) -> OpNode {
+    pub fn from_plan(plan: &PhysicalPlan) -> OpNode {
+        let op = OpNode {
+            name: plan.op.name(),
+            strategy: plan.strategy(),
+            schema: plan.schema(),
+            detail: plan.op.detail(),
+            children: Vec::new(),
+        };
+        if plan.post.is_empty() {
+            return op;
+        }
         OpNode {
             name: plan.name(),
             strategy: plan.strategy(),
             schema: plan.schema(),
             detail: plan.detail(),
-            children: plan.children().into_iter().map(OpNode::from_plan).collect(),
+            children: vec![op],
         }
     }
 

@@ -1,10 +1,10 @@
 //! Per-operator execution traces: the data behind `EXPLAIN ANALYZE`.
 //!
 //! When tracing is enabled (or [`crate::plan::Database::explain_analyze`]
-//! is called), every [`crate::plan::PhysicalPlan`] operator records a span:
-//! wall time, rows emitted, and the [`Metrics`] delta its subtree
-//! performed. Nested operators (today the residual filter over its input)
-//! produce nested [`OpTrace`]s; [`OpTrace::exclusive`] subtracts the
+//! is called), every operator of a [`crate::plan::PhysicalPlan`] records a
+//! span: wall time, rows emitted, and the [`Metrics`] delta its subtree
+//! performed. A plan's residual filter traces as a `residual-filter` node
+//! over its operator's [`OpTrace`]; [`OpTrace::exclusive`] subtracts the
 //! children so each node's own work is visible.
 
 use std::fmt;
@@ -17,7 +17,7 @@ use crate::plan::strategy::Strategy;
 /// One operator's execution span inside a traced query.
 #[derive(Debug, Clone)]
 pub struct OpTrace {
-    /// The operator's [`crate::plan::PhysicalPlan::name`].
+    /// The operator's name ([`crate::plan::Op::name`], or `residual-filter`).
     pub name: &'static str,
     /// The strategy the operator implements.
     pub strategy: Strategy,

@@ -701,7 +701,7 @@ impl Database {
     ) -> Result<QueryResult, QueryError> {
         let snapshot = self.snapshot();
         let plan = self.compile_planned_on(&snapshot, spec)?;
-        Ok(self.run_plan(&*plan, mode, || "query".to_string()))
+        Ok(self.run_plan(&plan, mode, || "query".to_string()))
     }
 
     /// Runs one compiled plan with the always-on query latency histogram
@@ -709,7 +709,7 @@ impl Database {
     /// label closure only runs (and allocates) on the traced path.
     fn run_plan(
         &self,
-        plan: &dyn PhysicalPlan,
+        plan: &PhysicalPlan,
         mode: ExecutionMode,
         label: impl FnOnce() -> String,
     ) -> QueryResult {
@@ -760,7 +760,7 @@ impl Database {
                 .enumerate()
                 .map(|(i, spec)| {
                     self.compile_planned_on(&snapshot, spec)
-                        .map(|plan| self.run_plan(&*plan, ExecutionMode::Serial, || batch_label(i)))
+                        .map(|plan| self.run_plan(&plan, ExecutionMode::Serial, || batch_label(i)))
                 })
                 .collect()
         } else {
@@ -772,7 +772,7 @@ impl Database {
                 &mut scratch,
                 |&(i, spec), out, _| {
                     out.push(self.compile_planned_on(&snapshot, spec).map(|plan| {
-                        self.run_plan(&*plan, ExecutionMode::Pooled, || batch_label(i))
+                        self.run_plan(&plan, ExecutionMode::Pooled, || batch_label(i))
                     }));
                 },
             )
@@ -787,7 +787,7 @@ impl Database {
     /// executable [`PhysicalPlan`] without running it. The plan pins the
     /// relations' current snapshots, so it stays valid (and frozen) however
     /// long the caller holds it.
-    pub fn compile_planned(&self, spec: &QuerySpec) -> Result<Box<dyn PhysicalPlan>, QueryError> {
+    pub fn compile_planned(&self, spec: &QuerySpec) -> Result<PhysicalPlan, QueryError> {
         self.compile_planned_on(&self.snapshot(), spec)
     }
 
@@ -798,7 +798,7 @@ impl Database {
         &self,
         snapshot: &DbSnapshot,
         spec: &QuerySpec,
-    ) -> Result<Box<dyn PhysicalPlan>, QueryError> {
+    ) -> Result<PhysicalPlan, QueryError> {
         let strategy = self.plan_on(snapshot, spec)?;
         compile(snapshot, spec, strategy)
     }
@@ -810,7 +810,7 @@ impl Database {
         &self,
         spec: &QuerySpec,
         strategy: Strategy,
-    ) -> Result<Box<dyn PhysicalPlan>, QueryError> {
+    ) -> Result<PhysicalPlan, QueryError> {
         compile(&self.snapshot(), spec, strategy)
     }
 
@@ -867,19 +867,10 @@ impl Database {
         spec: &QuerySpec,
         strategy: Strategy,
     ) -> Result<QueryResult, QueryError> {
-        self.execute_with_strategy_and_mode(spec, strategy, ExecutionMode::default_mode())
-    }
-
-    /// Executes a query with an explicit strategy **and** execution mode —
-    /// the fully-specified entry point the others delegate to.
-    pub fn execute_with_strategy_and_mode(
-        &self,
-        spec: &QuerySpec,
-        strategy: Strategy,
-        mode: ExecutionMode,
-    ) -> Result<QueryResult, QueryError> {
         let plan = self.compile(spec, strategy)?;
-        Ok(self.run_plan(&*plan, mode, || "query (pinned strategy)".to_string()))
+        Ok(self.run_plan(&plan, ExecutionMode::default_mode(), || {
+            "query (pinned strategy)".to_string()
+        }))
     }
 
     // -----------------------------------------------------------------
@@ -911,14 +902,6 @@ impl Database {
     pub fn query(&self, text: &str) -> Result<QueryResult, QueryError> {
         let spec = self.parse_query(text)?;
         self.execute(&spec)
-    }
-
-    /// Executes an already-parsed textual query — an alias for
-    /// [`Database::execute`] that completes the parse → plan → execute
-    /// pipeline when the caller keeps the [`QuerySpec`] around (e.g. to run
-    /// it repeatedly, or through [`Database::execute_batch`]).
-    pub fn execute_parsed(&self, spec: &QuerySpec) -> Result<QueryResult, QueryError> {
-        self.execute(spec)
     }
 
     /// Parses a textual query and registers it as a **standing query** (see
@@ -962,7 +945,7 @@ impl Database {
             logical: None,
             rewrites: rewrites_of(spec),
             strategy,
-            root: OpNode::from_plan(&*plan),
+            root: OpNode::from_plan(&plan),
         })
     }
 
@@ -991,7 +974,7 @@ impl Database {
             logical: None,
             rewrites: rewrites_of(spec),
             strategy,
-            root: OpNode::from_plan(&*plan),
+            root: OpNode::from_plan(&plan),
         };
         let obs = self.store.obs();
         let start = Instant::now();
@@ -1294,9 +1277,9 @@ mod tests {
             Err(QueryError::UnknownRelation { .. })
         ));
 
-        // `execute_parsed` + `execute_batch` run the same parsed spec.
+        // `execute` + `execute_batch` run the same parsed spec.
         let spec = db.parse_query("FIND B WHERE KNN(5, 30, 30)").unwrap();
-        assert_eq!(db.execute_parsed(&spec).unwrap().num_rows(), 5);
+        assert_eq!(db.execute(&spec).unwrap().num_rows(), 5);
         let batch = db.execute_batch(&[spec.clone(), spec]);
         assert!(batch.iter().all(|r| r.as_ref().unwrap().num_rows() == 5));
     }

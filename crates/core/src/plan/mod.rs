@@ -16,9 +16,10 @@
 //!   statistics to a strategy;
 //! * [`physical`] — the physical-operator layer: [`compile`] resolves
 //!   relation names against a pinned [`crate::store::DbSnapshot`] and lowers
-//!   a `(QuerySpec, Strategy)` pair into a [`PhysicalPlan`] operator that
-//!   owns its snapshot handles and runs serially or partitioned over the
-//!   persistent worker pool;
+//!   a `(QuerySpec, Strategy)` pair into a [`PhysicalPlan`] — one [`Op`]
+//!   per query shape plus the post-kNN filters — that owns its snapshot
+//!   handles and runs serially or partitioned over the persistent worker
+//!   pool;
 //! * [`lang`] — the declarative textual front-end: a hand-written lexer and
 //!   recursive-descent parser for `FIND … WHERE …` queries, plus the
 //!   rewriter that extracts the kNN predicates and classifies the residual
@@ -45,7 +46,7 @@ pub use executor::{Database, QueryFilters, QueryResult, QuerySpec};
 pub use lang::parse_query;
 pub use logical::{LogicalExpr, Rewrite};
 pub use optimizer::Optimizer;
-pub use physical::{compile, PhysicalPlan, Relation, Row, RowSchema};
+pub use physical::{compile, Op, PhysicalPlan, Relation, Row, RowSchema};
 pub use stats::RelationProfile;
 pub use strategy::{
     ChainedStrategy, SelectInnerStrategy, SelectOuterStrategy, SelectStrategy, Strategy,

@@ -1,53 +1,51 @@
-//! The physical-operator layer: compiled, executable plans.
+//! The physical layer: compiled, executable plans.
 //!
 //! The planning pipeline is
 //!
 //! ```text
-//! QuerySpec ──(Optimizer)──► Strategy ──(compile)──► Box<dyn PhysicalPlan> ──(execute)──► QueryResult
+//! QuerySpec ──(Optimizer)──► Strategy ──(compile)──► PhysicalPlan ──(execute)──► QueryResult
 //! ```
 //!
 //! [`compile`] resolves a [`QuerySpec`]'s relation names against a pinned
-//! [`DbSnapshot`] of the catalog and pairs them with a [`Strategy`] into one
-//! of the operator structs of this module — one per algorithm family of the
-//! paper:
+//! [`DbSnapshot`] and pairs them with a [`Strategy`] into one
+//! [`PhysicalPlan`]: an [`Op`] (one variant per query shape of the paper,
+//! carrying that shape's own strategy enum) plus the post-kNN residual
+//! filters. Each strategy runs one operator:
 //!
-//! | Operator | Algorithm family | Paper |
+//! | [`Op`] variant | Operators (one per strategy) | Paper |
 //! |---|---|---|
-//! | [`CountingOp`] | Counting | Procedure 1 |
-//! | [`BlockMarkingOp`] | Block-Marking | Procedures 2–3 |
-//! | [`SelectInnerConceptualOp`] | conceptual join-then-intersect QEP | Figure 1 |
-//! | [`OuterPushdownOp`] | select-on-outer (pushdown or select-after-join) | Figure 3 |
-//! | [`UnchainedJoinsOp`] | two unchained joins | Section 4.1 |
-//! | [`ChainedJoinsOp`] | two chained joins | Section 4.2 |
-//! | [`TwoSelectsOp`] | two kNN-selects | Section 5 |
-//! | [`KnnSelectOp`] | single (optionally filtered) kNN-select | — |
-//! | [`FilteredTwoSelectsOp`] | two filtered kNN-selects | — |
-//! | [`ResidualFilterOp`] | post-kNN residual filter over any plan | — |
+//! | [`Op::SelectInner`] | `select-inner-conceptual`, `counting`, `block-marking` | Figure 1, Procedures 1–3 |
+//! | [`Op::SelectOuter`] | `outer-select-after-join`, `outer-pushdown` | Figure 3 |
+//! | [`Op::Unchained`] | `unchained-conceptual`, `unchained-block-marking(A⋈B first)`, `unchained-block-marking(C⋈B first)` | Section 4.1 |
+//! | [`Op::Chained`] | `chained-right-deep`, `chained-join-intersection`, `chained-nested`, `chained-nested-cached` | Section 4.2 |
+//! | [`Op::TwoSelects`] | `two-selects-conceptual`, `2-knn-select`; `filtered-two-selects` under a pre-filter | Section 5 |
+//! | [`Op::Select`] | `knn-select`, `knn-select-scan` | — |
 //!
 //! A [`QuerySpec::Filtered`] spec compiles through [`compile`]'s filter
-//! path: **pre**-kNN filters either flow into the operator's predicate
-//! (single select: the masked kernel; two selects: the filtered
-//! conceptual intersection) or materialize a filtered copy of the relation
-//! that the wrapped shape's operator is compiled against (join outer
-//! roles). Pre-filters on a join's *inner* role are rejected with
-//! [`QueryError::InvalidTransformation`] — they change every neighborhood,
-//! the same Figure 2 argument that forbids pushing a select below a join's
-//! inner relation. **Post**-kNN filters wrap the compiled plan in a
-//! [`ResidualFilterOp`] that prunes finished rows by component.
+//! path: **pre**-kNN filters either become the select variants' predicate
+//! (single select: the masked kernel; two selects: the filtered conceptual
+//! intersection) or materialize a filtered copy of the relation the join
+//! shape is compiled against (join outer roles). Pre-filters on a join's
+//! *inner* role are rejected with [`QueryError::InvalidTransformation`] —
+//! they change every neighborhood, the same Figure 2 argument that forbids
+//! pushing a select below a join's inner relation. **Post**-kNN filters
+//! land in [`PhysicalPlan::post`] and prune finished rows by component;
+//! `EXPLAIN` and traces show them as a `residual-filter` node whose only
+//! child is the operator.
 //!
-//! Every operator implements [`PhysicalPlan`]: it knows its [`Strategy`], its
-//! output [`RowSchema`], and how to [`PhysicalPlan::execute`] under a given
-//! [`ExecutionMode`] — serially, partitioned over the shared persistent
-//! worker pool (`Pooled`, the default), or over a freshly spawned scoped
-//! team (`Parallel`). Operators hold their relations as [`Relation`]
-//! (shared-ownership snapshot handles), so a compiled plan stays valid — and
-//! keeps observing the exact version it was compiled against — no matter
-//! what ingest or compaction publish afterwards. Adding a new algorithm
-//! means adding an operator struct and a `compile` arm; the driver
-//! ([`Database::execute`](crate::plan::Database::execute)) never changes.
+//! A plan knows its [`Strategy`], its output [`RowSchema`], and how to
+//! [`PhysicalPlan::execute`] under a given [`ExecutionMode`] — serially or
+//! partitioned over the shared persistent worker pool (`Pooled`, the
+//! default). Plans hold their relations as [`Relation`] (shared-ownership
+//! snapshot handles), so a compiled plan stays valid — and keeps observing
+//! the exact version it was compiled against — no matter what ingest or
+//! compaction publish afterwards. Adding an algorithm means adding a
+//! strategy to its shape's enum and an arm to each `match` on [`Op`]; the
+//! driver ([`Database::execute`](crate::plan::Database::execute)) never
+//! changes.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use twoknn_geometry::{Point, Predicate};
 use twoknn_index::{brute_force_knn_filtered, GridIndex, Metrics, SpatialIndex};
@@ -59,6 +57,7 @@ use crate::joins2::{
     chained_right_deep_with_mode, unchained_block_marking_with_mode,
     unchained_conceptual_with_mode, ChainedJoinQuery, UnchainedJoinQuery,
 };
+use crate::obs::OpTrace;
 use crate::output::{Pair, QueryOutput, Triplet};
 use crate::plan::executor::{QueryFilters, QueryResult, QuerySpec};
 use crate::plan::strategy::{
@@ -78,8 +77,8 @@ use crate::store::DbSnapshot;
 
 /// A shared handle to one pinned, immutable version of an indexed relation.
 ///
-/// Operators hold `Relation`s rather than borrows so compiled plans own
-/// their inputs: the snapshot a plan was compiled against stays alive (and
+/// Plans hold `Relation`s rather than borrows so compiled plans own their
+/// inputs: the snapshot a plan was compiled against stays alive (and
 /// frozen) for as long as the plan does, independent of concurrent catalog
 /// mutation, ingest, or compaction.
 pub type Relation = Arc<dyn SpatialIndex + Send + Sync>;
@@ -130,64 +129,516 @@ impl Row {
     }
 }
 
-/// An executable physical plan: a specific algorithm bound to specific
-/// relations, ready to run under any [`ExecutionMode`].
-pub trait PhysicalPlan: Send + Sync {
+/// One query shape bound to its pinned relations, its parameters and the
+/// shape's own strategy — so a strategy that does not fit the shape cannot
+/// be built.
+pub enum Op {
+    /// A kNN-select on the inner relation of a kNN-join (Section 3).
+    SelectInner {
+        /// The outer relation `E1`.
+        outer: Relation,
+        /// The inner relation `E2`.
+        inner: Relation,
+        /// Query parameters.
+        query: SelectInnerJoinQuery,
+        /// Conceptual QEP, Counting or Block-Marking.
+        strategy: SelectInnerStrategy,
+    },
+    /// A kNN-select on the outer relation of a kNN-join (Figure 3).
+    SelectOuter {
+        /// The outer relation `E1`.
+        outer: Relation,
+        /// The inner relation `E2`.
+        inner: Relation,
+        /// Query parameters.
+        query: SelectOuterJoinQuery,
+        /// The valid pushdown, or the reference select-after-join plan.
+        strategy: SelectOuterStrategy,
+    },
+    /// Two unchained kNN-joins `(A ⋈ B) ∩_B (C ⋈ B)` (Section 4.1).
+    Unchained {
+        /// Relation `A`.
+        a: Relation,
+        /// The shared inner relation `B`.
+        b: Relation,
+        /// Relation `C`.
+        c: Relation,
+        /// Query parameters.
+        query: UnchainedJoinQuery,
+        /// Which evaluation order / algorithm to run.
+        strategy: UnchainedStrategy,
+    },
+    /// Two chained kNN-joins `A → B → C` (Section 4.2).
+    Chained {
+        /// Relation `A`.
+        a: Relation,
+        /// The middle relation `B`.
+        b: Relation,
+        /// Relation `C`.
+        c: Relation,
+        /// Query parameters.
+        query: ChainedJoinQuery,
+        /// Which of the equivalent QEPs to run.
+        strategy: ChainedStrategy,
+    },
+    /// Two kNN-selects over one relation (Section 5).
+    TwoSelects {
+        /// The relation both selects run against.
+        relation: Relation,
+        /// Query parameters.
+        query: TwoSelectsQuery,
+        /// The pre-kNN filter both selects apply; [`Predicate::True`] when
+        /// unfiltered. Any other predicate forces the filtered conceptual
+        /// intersection (Procedure 5's bounded locality is not established
+        /// under filtering), and `strategy` is then only reported.
+        predicate: Predicate,
+        /// Which of the two equivalent QEPs to run.
+        strategy: TwoSelectsStrategy,
+    },
+    /// A single kNN-select `σ_{k,f}(E)`, optionally restricted to the
+    /// points matching a pre-kNN predicate: "the k nearest *matching*
+    /// points".
+    Select {
+        /// The relation the select runs against.
+        relation: Relation,
+        /// Query parameters.
+        query: KnnSelectQuery,
+        /// The pre-kNN filter; [`Predicate::True`] for the unfiltered select.
+        predicate: Predicate,
+        /// Masked kernel, or the scan-then-filter baseline.
+        strategy: SelectStrategy,
+    },
+}
+
+impl Op {
     /// Short operator name, e.g. `"block-marking"`.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        match self {
+            Op::SelectInner { strategy, .. } => match strategy {
+                SelectInnerStrategy::Conceptual => "select-inner-conceptual",
+                SelectInnerStrategy::Counting => "counting",
+                SelectInnerStrategy::BlockMarking => "block-marking",
+            },
+            Op::SelectOuter { strategy, .. } => match strategy {
+                SelectOuterStrategy::Pushdown => "outer-pushdown",
+                SelectOuterStrategy::SelectAfterJoin => "outer-select-after-join",
+            },
+            Op::Unchained { strategy, .. } => match strategy {
+                UnchainedStrategy::Conceptual => "unchained-conceptual",
+                UnchainedStrategy::BlockMarkingStartWithA => "unchained-block-marking(A⋈B first)",
+                UnchainedStrategy::BlockMarkingStartWithC => "unchained-block-marking(C⋈B first)",
+            },
+            Op::Chained { strategy, .. } => match strategy {
+                ChainedStrategy::RightDeep => "chained-right-deep",
+                ChainedStrategy::JoinIntersection => "chained-join-intersection",
+                ChainedStrategy::NestedJoin => "chained-nested",
+                ChainedStrategy::NestedJoinCached => "chained-nested-cached",
+            },
+            Op::TwoSelects { predicate, .. } if !matches!(predicate, Predicate::True) => {
+                "filtered-two-selects"
+            }
+            Op::TwoSelects { strategy, .. } => match strategy {
+                TwoSelectsStrategy::Conceptual => "two-selects-conceptual",
+                TwoSelectsStrategy::TwoKnnSelect => "2-knn-select",
+            },
+            Op::Select { strategy, .. } => match strategy {
+                SelectStrategy::FilteredKernel => "knn-select",
+                SelectStrategy::FilterThenScan => "knn-select-scan",
+            },
+        }
+    }
 
     /// The strategy this operator implements.
-    fn strategy(&self) -> Strategy;
+    pub fn strategy(&self) -> Strategy {
+        match self {
+            Op::SelectInner { strategy, .. } => Strategy::SelectInner(*strategy),
+            Op::SelectOuter { strategy, .. } => Strategy::SelectOuter(*strategy),
+            Op::Unchained { strategy, .. } => Strategy::Unchained(*strategy),
+            Op::Chained { strategy, .. } => Strategy::Chained(*strategy),
+            Op::TwoSelects { strategy, .. } => Strategy::TwoSelects(*strategy),
+            Op::Select { strategy, .. } => Strategy::Select(*strategy),
+        }
+    }
 
     /// The row type the operator produces.
-    fn schema(&self) -> RowSchema;
+    pub fn schema(&self) -> RowSchema {
+        match self {
+            Op::SelectInner { .. } | Op::SelectOuter { .. } => RowSchema::Pairs,
+            Op::Unchained { .. } | Op::Chained { .. } => RowSchema::Triplets,
+            Op::TwoSelects { .. } | Op::Select { .. } => RowSchema::Points,
+        }
+    }
+
+    /// Operator-specific parameters for `EXPLAIN` output (`k=…`).
+    pub fn detail(&self) -> String {
+        let pre_filtered = |predicate: &Predicate| {
+            if matches!(predicate, Predicate::True) {
+                ""
+            } else {
+                " pre-filtered"
+            }
+        };
+        match self {
+            Op::SelectInner { query, .. } => format!(
+                "k_join={} k_select={} focal=({}, {})",
+                query.k_join, query.k_select, query.focal.x, query.focal.y
+            ),
+            Op::SelectOuter { query, .. } => format!(
+                "k_join={} k_select={} focal=({}, {})",
+                query.k_join, query.k_select, query.focal.x, query.focal.y
+            ),
+            Op::Unchained { query, .. } => format!("k_ab={} k_cb={}", query.k_ab, query.k_cb),
+            Op::Chained { query, .. } => format!("k_ab={} k_bc={}", query.k_ab, query.k_bc),
+            Op::TwoSelects {
+                query, predicate, ..
+            } => format!(
+                "k1={} f1=({}, {}) k2={} f2=({}, {}){}",
+                query.k1,
+                query.f1.x,
+                query.f1.y,
+                query.k2,
+                query.f2.x,
+                query.f2.y,
+                pre_filtered(predicate)
+            ),
+            Op::Select {
+                query, predicate, ..
+            } => format!(
+                "k={} focal=({}, {}){}",
+                query.k,
+                query.focal.x,
+                query.focal.y,
+                pre_filtered(predicate)
+            ),
+        }
+    }
 
     /// Runs the operator.
-    fn execute(&self, mode: ExecutionMode) -> QueryResult;
+    pub fn execute(&self, mode: ExecutionMode) -> QueryResult {
+        let strategy = self.strategy();
+        match self {
+            Op::SelectInner {
+                outer,
+                inner,
+                query,
+                strategy: s,
+            } => {
+                let (outer, inner) = (&**outer, &**inner);
+                let output = match s {
+                    SelectInnerStrategy::Conceptual => {
+                        conceptual_with_mode(outer, inner, query, mode)
+                    }
+                    SelectInnerStrategy::Counting => counting_with_mode(outer, inner, query, mode),
+                    SelectInnerStrategy::BlockMarking => block_marking_with_mode(
+                        outer,
+                        inner,
+                        query,
+                        &BlockMarkingConfig::default(),
+                        mode,
+                    ),
+                };
+                QueryResult::Pairs { output, strategy }
+            }
+            Op::SelectOuter {
+                outer,
+                inner,
+                query,
+                strategy: s,
+            } => {
+                let output = match s {
+                    // The pushdown only ever joins the kσ selected points; it
+                    // is already the cheap plan and runs serially.
+                    SelectOuterStrategy::Pushdown => {
+                        select_on_outer_pushdown(&**outer, &**inner, query)
+                    }
+                    SelectOuterStrategy::SelectAfterJoin => {
+                        select_on_outer_after_join_with_mode(&**outer, &**inner, query, mode)
+                    }
+                };
+                QueryResult::Pairs { output, strategy }
+            }
+            Op::Unchained {
+                a,
+                b,
+                c,
+                query,
+                strategy: s,
+            } => {
+                let (a, b, c) = (&**a, &**b, &**c);
+                let output = match s {
+                    UnchainedStrategy::Conceptual => {
+                        unchained_conceptual_with_mode(a, b, c, query, mode)
+                    }
+                    UnchainedStrategy::BlockMarkingStartWithA => {
+                        unchained_block_marking_with_mode(a, b, c, query, mode)
+                    }
+                    UnchainedStrategy::BlockMarkingStartWithC => {
+                        // Start with (C ⋈ B): swap the roles of A and C, then
+                        // swap the components back in the emitted triplets.
+                        let swapped = UnchainedJoinQuery::new(query.k_cb, query.k_ab);
+                        let out = unchained_block_marking_with_mode(c, b, a, &swapped, mode);
+                        QueryOutput::new(
+                            out.rows
+                                .into_iter()
+                                .map(|t| Triplet::new(t.c, t.b, t.a))
+                                .collect(),
+                            out.metrics,
+                        )
+                    }
+                };
+                QueryResult::Triplets { output, strategy }
+            }
+            Op::Chained {
+                a,
+                b,
+                c,
+                query,
+                strategy: s,
+            } => {
+                let (a, b, c) = (&**a, &**b, &**c);
+                let output = match s {
+                    ChainedStrategy::RightDeep => {
+                        chained_right_deep_with_mode(a, b, c, query, mode)
+                    }
+                    ChainedStrategy::JoinIntersection => {
+                        chained_join_intersection_with_mode(a, b, c, query, mode)
+                    }
+                    ChainedStrategy::NestedJoin => chained_nested_with_mode(a, b, c, query, mode),
+                    ChainedStrategy::NestedJoinCached => {
+                        chained_nested_cached_with_mode(a, b, c, query, mode)
+                    }
+                };
+                QueryResult::Triplets { output, strategy }
+            }
+            Op::TwoSelects {
+                relation,
+                query,
+                predicate,
+                strategy: s,
+            } => {
+                let output = match s {
+                    _ if !matches!(predicate, Predicate::True) => {
+                        filtered_two_selects(&**relation, query, predicate, mode)
+                    }
+                    // The conceptual QEP's two selects are independent: under
+                    // a parallel mode each runs as its own task.
+                    TwoSelectsStrategy::Conceptual => {
+                        two_selects_conceptual_with_mode(&**relation, query, mode)
+                    }
+                    // The 2-kNN-select algorithm is inherently sequential (the
+                    // second locality is bounded by the first select's
+                    // result); batch-level parallelism covers the many-query
+                    // case.
+                    TwoSelectsStrategy::TwoKnnSelect => two_knn_select(&**relation, query),
+                };
+                QueryResult::Points { output, strategy }
+            }
+            // A single select is one neighborhood computation — inherently
+            // sequential; batch-level parallelism covers the many-query case.
+            Op::Select {
+                relation,
+                query,
+                predicate,
+                strategy: s,
+            } => {
+                let output = match s {
+                    SelectStrategy::FilteredKernel => {
+                        knn_select_filtered(&**relation, &query.focal, query.k, predicate)
+                    }
+                    SelectStrategy::FilterThenScan => {
+                        filter_then_scan(&**relation, query, predicate)
+                    }
+                };
+                QueryResult::Points { output, strategy }
+            }
+        }
+    }
+}
 
-    /// Runs the operator with a per-operator trace: wall time, rows
-    /// emitted, and the [`Metrics`] delta of the subtree. The default
-    /// covers leaf operators (every operator except the residual filter);
-    /// nesting operators override it to trace their children too. The
-    /// root trace's `inclusive` equals `result.metrics()` exactly.
-    fn execute_traced(&self, mode: ExecutionMode) -> (QueryResult, crate::obs::OpTrace) {
-        let start = std::time::Instant::now();
-        let result = self.execute(mode);
-        let trace = crate::obs::OpTrace {
-            name: self.name(),
+/// Two kNN-selects under one **pre-kNN** filter: both filtered selects run
+/// in full through the masked kernel and their results intersect — the
+/// conceptual QEP of Figure 16 made filter-aware.
+fn filtered_two_selects(
+    relation: &(dyn SpatialIndex + Send + Sync),
+    query: &TwoSelectsQuery,
+    predicate: &Predicate,
+    mode: ExecutionMode,
+) -> QueryOutput<Point> {
+    let mut metrics = Metrics::default();
+    let predicates = [(query.k1, query.f1), (query.k2, query.f2)];
+    let mut neighborhoods = run_partitioned(
+        &predicates,
+        mode,
+        &mut metrics,
+        |(k, focal), out, metrics| {
+            out.push(knn_select_filtered_neighborhood(
+                relation, focal, *k, predicate, metrics,
+            ));
+        },
+    );
+    let nbr2 = neighborhoods.pop().expect("two predicates evaluated");
+    let nbr1 = neighborhoods.pop().expect("two predicates evaluated");
+    intersect_output(&nbr1, &nbr2, metrics)
+}
+
+/// The scan-then-filter select baseline: reads and ranks every point, and
+/// its counters reflect that, which is what `ablation_filter` compares.
+fn filter_then_scan(
+    relation: &(dyn SpatialIndex + Send + Sync),
+    query: &KnnSelectQuery,
+    predicate: &Predicate,
+) -> QueryOutput<Point> {
+    let mut metrics = Metrics::default();
+    metrics.neighborhoods_computed += 1;
+    let n = relation.num_points() as u64;
+    metrics.points_scanned += n;
+    metrics.distance_computations += n;
+    let nbr = brute_force_knn_filtered(relation, &query.focal, query.k, predicate);
+    let rows: Vec<Point> = nbr.points().copied().collect();
+    metrics.tuples_emitted += rows.len() as u64;
+    QueryOutput::new(rows, metrics)
+}
+
+/// An executable physical plan: one [`Op`] bound to its relations, plus
+/// the post-kNN residual filters over its rows, ready to run under any
+/// [`ExecutionMode`].
+pub struct PhysicalPlan {
+    /// The operator producing the rows.
+    pub op: Op,
+    /// Post-kNN residual filters as `(role index, predicate)` pairs,
+    /// resolved against the row components in relation-role order (pair:
+    /// `0 = outer`, `1 = inner`; triplet: `0 = a`, `1 = b`, `2 = c`; point:
+    /// `0`). A row is kept when every filtered component matches. Empty for
+    /// an unfiltered plan.
+    pub post: Vec<(usize, Predicate)>,
+}
+
+/// The name of the node a non-empty [`PhysicalPlan::post`] adds above the
+/// operator in `EXPLAIN` output and traces.
+const RESIDUAL_FILTER: &str = "residual-filter";
+
+impl PhysicalPlan {
+    /// The root operator's name: `"residual-filter"` when the plan has
+    /// post-kNN filters, the [`Op`]'s name otherwise.
+    pub fn name(&self) -> &'static str {
+        if self.post.is_empty() {
+            self.op.name()
+        } else {
+            RESIDUAL_FILTER
+        }
+    }
+
+    /// The strategy the plan implements.
+    pub fn strategy(&self) -> Strategy {
+        self.op.strategy()
+    }
+
+    /// The row type the plan produces.
+    pub fn schema(&self) -> RowSchema {
+        self.op.schema()
+    }
+
+    /// The root operator's parameters for `EXPLAIN` output.
+    pub fn detail(&self) -> String {
+        if self.post.is_empty() {
+            self.op.detail()
+        } else {
+            format!("{} filtered roles", self.post.len())
+        }
+    }
+
+    /// Runs the plan.
+    pub fn execute(&self, mode: ExecutionMode) -> QueryResult {
+        self.apply_post(self.op.execute(mode))
+    }
+
+    /// Runs the plan with a per-operator trace: wall time, rows emitted,
+    /// and the [`Metrics`] delta of each operator, the residual filter (if
+    /// any) above the operator. The root trace's `inclusive` equals
+    /// `result.metrics()` exactly.
+    pub fn execute_traced(&self, mode: ExecutionMode) -> (QueryResult, OpTrace) {
+        let start = Instant::now();
+        let result = self.op.execute(mode);
+        let op = OpTrace {
+            name: self.op.name(),
             strategy: self.strategy(),
             rows: result.num_rows(),
             wall: start.elapsed(),
             inclusive: result.metrics(),
             children: Vec::new(),
         };
+        if self.post.is_empty() {
+            return (result, op);
+        }
+        let result = self.apply_post(result);
+        let trace = OpTrace {
+            name: RESIDUAL_FILTER,
+            strategy: self.strategy(),
+            rows: result.num_rows(),
+            wall: start.elapsed(),
+            inclusive: result.metrics(),
+            children: vec![op],
+        };
         (result, trace)
     }
 
-    /// Operator-specific parameters for `EXPLAIN` output (`k=…`, roles).
-    /// Empty by default.
-    fn detail(&self) -> String {
-        String::new()
-    }
-
-    /// Nested input operators, for plan-tree introspection. Leaf operators
-    /// (the default) have none.
-    fn children(&self) -> Vec<&dyn PhysicalPlan> {
-        Vec::new()
-    }
-
     /// A one-line, EXPLAIN-style description of the plan.
-    fn explain(&self) -> String {
-        format!(
+    pub fn explain(&self) -> String {
+        let op = format!(
             "{} [{}] -> {:?}",
-            self.name(),
+            self.op.name(),
             self.strategy(),
             self.schema()
-        )
+        );
+        if self.post.is_empty() {
+            op
+        } else {
+            format!("{RESIDUAL_FILTER}({} roles) <- {op}", self.post.len())
+        }
+    }
+
+    /// Keeps only the rows whose filtered components match the post-kNN
+    /// filters, resetting `tuples_emitted` to the surviving row count. A
+    /// plan without post filters returns its operator's result untouched.
+    fn apply_post(&self, result: QueryResult) -> QueryResult {
+        if self.post.is_empty() {
+            return result;
+        }
+        let keep = |components: &[&Point]| {
+            self.post
+                .iter()
+                .all(|(idx, predicate)| predicate.matches_point(components[*idx]))
+        };
+        match result {
+            QueryResult::Pairs {
+                mut output,
+                strategy,
+            } => {
+                output.rows.retain(|p| keep(&[&p.left, &p.right]));
+                output.metrics.tuples_emitted = output.rows.len() as u64;
+                QueryResult::Pairs { output, strategy }
+            }
+            QueryResult::Triplets {
+                mut output,
+                strategy,
+            } => {
+                output.rows.retain(|t| keep(&[&t.a, &t.b, &t.c]));
+                output.metrics.tuples_emitted = output.rows.len() as u64;
+                QueryResult::Triplets { output, strategy }
+            }
+            QueryResult::Points {
+                mut output,
+                strategy,
+            } => {
+                output.rows.retain(|p| keep(&[p]));
+                output.metrics.tuples_emitted = output.rows.len() as u64;
+                QueryResult::Points { output, strategy }
+            }
+        }
     }
 }
 
-/// Compiles a `(spec, strategy)` pair into an executable operator, resolving
+/// Compiles a `(spec, strategy)` pair into an executable plan, resolving
 /// relation names against a pinned [`DbSnapshot`].
 ///
 /// The returned plan holds shared handles to the snapshot's relation
@@ -204,123 +655,112 @@ pub fn compile(
     snapshot: &DbSnapshot,
     spec: &QuerySpec,
     strategy: Strategy,
-) -> Result<Box<dyn PhysicalPlan>, QueryError> {
+) -> Result<PhysicalPlan, QueryError> {
     match spec {
         QuerySpec::Filtered { spec, filters } => {
             compile_filtered(snapshot, spec, filters, strategy)
         }
-        _ => compile_with_overrides(snapshot, spec, strategy, &BTreeMap::new()),
+        _ => Ok(PhysicalPlan {
+            op: compile_op(snapshot, spec, strategy, &QueryFilters::none())?,
+            post: Vec::new(),
+        }),
     }
 }
 
-/// The filter-free compile path, with an escape hatch: relation names in
-/// `overrides` resolve to the supplied (typically pre-filtered) index
-/// instead of the snapshot. [`compile_filtered`] uses this to push a valid
-/// pre-kNN filter below a join's outer role without every operator having
-/// to learn about predicates.
-fn compile_with_overrides(
+/// Builds the [`Op`] of a filter-free shape, applying the **pre**-kNN
+/// filters in `filters`: a select shape takes its relation's filter as its
+/// predicate; a join shape is compiled against a filtered copy of each
+/// pre-filtered (outer) relation.
+fn compile_op(
     snapshot: &DbSnapshot,
     spec: &QuerySpec,
     strategy: Strategy,
-    overrides: &BTreeMap<String, Relation>,
-) -> Result<Box<dyn PhysicalPlan>, QueryError> {
-    let pin = |name: &str| -> Result<Relation, QueryError> {
-        if let Some(filtered) = overrides.get(name) {
-            return Ok(Arc::clone(filtered));
-        }
+    filters: &QueryFilters,
+) -> Result<Op, QueryError> {
+    let pre = |name: &str| filters.pre.get(name).cloned().unwrap_or(Predicate::True);
+    let base = |name: &str| -> Result<Relation, QueryError> {
         Ok(Arc::clone(snapshot.snapshot(name)?) as Relation)
     };
-    match (spec, strategy) {
+    let pin = |name: &str| -> Result<Relation, QueryError> {
+        match pre(name) {
+            Predicate::True => base(name),
+            predicate => materialize_filtered(&base(name)?, &predicate),
+        }
+    };
+    Ok(match (spec, strategy) {
         (
             QuerySpec::SelectInnerOfJoin {
                 outer,
                 inner,
                 query,
             },
-            Strategy::SelectInner(s),
-        ) => {
-            let outer = pin(outer)?;
-            let inner = pin(inner)?;
-            Ok(match s {
-                SelectInnerStrategy::Counting => Box::new(CountingOp {
-                    outer,
-                    inner,
-                    query: *query,
-                }),
-                SelectInnerStrategy::BlockMarking => Box::new(BlockMarkingOp {
-                    outer,
-                    inner,
-                    query: *query,
-                    config: BlockMarkingConfig::default(),
-                }),
-                SelectInnerStrategy::Conceptual => Box::new(SelectInnerConceptualOp {
-                    outer,
-                    inner,
-                    query: *query,
-                }),
-            })
-        }
+            Strategy::SelectInner(strategy),
+        ) => Op::SelectInner {
+            outer: pin(outer)?,
+            inner: pin(inner)?,
+            query: *query,
+            strategy,
+        },
         (
             QuerySpec::SelectOuterOfJoin {
                 outer,
                 inner,
                 query,
             },
-            Strategy::SelectOuter(s),
-        ) => Ok(Box::new(OuterPushdownOp {
+            Strategy::SelectOuter(strategy),
+        ) => Op::SelectOuter {
             outer: pin(outer)?,
             inner: pin(inner)?,
             query: *query,
-            strategy: s,
-        })),
-        (QuerySpec::UnchainedJoins { a, b, c, query }, Strategy::Unchained(s)) => {
-            Ok(Box::new(UnchainedJoinsOp {
+            strategy,
+        },
+        (QuerySpec::UnchainedJoins { a, b, c, query }, Strategy::Unchained(strategy)) => {
+            Op::Unchained {
                 a: pin(a)?,
                 b: pin(b)?,
                 c: pin(c)?,
                 query: *query,
-                strategy: s,
-            }))
+                strategy,
+            }
         }
-        (QuerySpec::ChainedJoins { a, b, c, query }, Strategy::Chained(s)) => {
-            Ok(Box::new(ChainedJoinsOp {
-                a: pin(a)?,
-                b: pin(b)?,
-                c: pin(c)?,
+        (QuerySpec::ChainedJoins { a, b, c, query }, Strategy::Chained(strategy)) => Op::Chained {
+            a: pin(a)?,
+            b: pin(b)?,
+            c: pin(c)?,
+            query: *query,
+            strategy,
+        },
+        (QuerySpec::TwoSelects { relation, query }, Strategy::TwoSelects(strategy)) => {
+            Op::TwoSelects {
+                relation: base(relation)?,
                 query: *query,
-                strategy: s,
-            }))
+                predicate: pre(relation),
+                strategy,
+            }
         }
-        (QuerySpec::TwoSelects { relation, query }, Strategy::TwoSelects(s)) => {
-            Ok(Box::new(TwoSelectsOp {
-                relation: pin(relation)?,
-                query: *query,
-                strategy: s,
-            }))
+        (QuerySpec::KnnSelect { relation, query }, Strategy::Select(strategy)) => Op::Select {
+            relation: base(relation)?,
+            query: query.clone(),
+            predicate: pre(relation),
+            strategy,
+        },
+        (spec, strategy) => {
+            return Err(QueryError::UnsupportedPlanShape {
+                description: format!("strategy {strategy} does not match query {spec:?}"),
+            })
         }
-        (QuerySpec::KnnSelect { relation, query }, Strategy::Select(s)) => {
-            Ok(Box::new(KnnSelectOp {
-                relation: pin(relation)?,
-                query: query.clone(),
-                predicate: Predicate::True,
-                strategy: s,
-            }))
-        }
-        (spec, strategy) => Err(QueryError::UnsupportedPlanShape {
-            description: format!("strategy {strategy} does not match query {spec:?}"),
-        }),
-    }
+    })
 }
 
 /// Compiles a [`QuerySpec::Filtered`] query: validates filter placement,
-/// threads pre-kNN filters into the wrapped shape, and wraps post-kNN
-/// filters as a [`ResidualFilterOp`].
+/// threads pre-kNN filters into the wrapped shape's [`Op`], and resolves
+/// post-kNN filters into [`PhysicalPlan::post`].
 fn compile_filtered(
     snapshot: &DbSnapshot,
     inner: &QuerySpec,
     filters: &QueryFilters,
     strategy: Strategy,
-) -> Result<Box<dyn PhysicalPlan>, QueryError> {
+) -> Result<PhysicalPlan, QueryError> {
     if matches!(inner, QuerySpec::Filtered { .. }) {
         return Err(QueryError::UnsupportedPlanShape {
             description: "nested Filtered query specs are not supported; merge the filters \
@@ -329,60 +769,7 @@ fn compile_filtered(
         });
     }
     validate_filter_placement(inner, filters)?;
-    let mismatch = || QueryError::UnsupportedPlanShape {
-        description: format!("strategy {strategy} does not match query {inner:?}"),
-    };
-    let pre = |relation: &str| -> Predicate {
-        filters
-            .pre
-            .get(relation)
-            .cloned()
-            .unwrap_or(Predicate::True)
-    };
-    let plan: Box<dyn PhysicalPlan> = match inner {
-        // Single select: the pre-filter IS the masked kernel's predicate.
-        QuerySpec::KnnSelect { relation, query } => {
-            let Strategy::Select(s) = strategy else {
-                return Err(mismatch());
-            };
-            Box::new(KnnSelectOp {
-                relation: Arc::clone(snapshot.snapshot(relation)?) as Relation,
-                query: query.clone(),
-                predicate: pre(relation),
-                strategy: s,
-            })
-        }
-        // Two selects under a pre-filter: the bounded-locality 2-kNN-select
-        // (Procedure 5) is not established under filtering, so both filtered
-        // selects run in full through the masked kernel and intersect — the
-        // conceptual QEP of Figure 16, filter-aware.
-        QuerySpec::TwoSelects { relation, query } if !matches!(pre(relation), Predicate::True) => {
-            let Strategy::TwoSelects(s) = strategy else {
-                return Err(mismatch());
-            };
-            Box::new(FilteredTwoSelectsOp {
-                relation: Arc::clone(snapshot.snapshot(relation)?) as Relation,
-                query: *query,
-                predicate: pre(relation),
-                strategy: s,
-            })
-        }
-        // Join shapes (and unfiltered two-selects): pre-filters sit on
-        // outer roles only (the validator guarantees it), so each one
-        // materializes a filtered copy of its relation and the wrapped
-        // shape compiles unchanged against the override.
-        _ => {
-            let mut overrides = BTreeMap::new();
-            for (name, predicate) in &filters.pre {
-                if matches!(predicate, Predicate::True) {
-                    continue;
-                }
-                let base = Arc::clone(snapshot.snapshot(name)?) as Relation;
-                overrides.insert(name.clone(), materialize_filtered(&base, predicate)?);
-            }
-            compile_with_overrides(snapshot, inner, strategy, &overrides)?
-        }
-    };
+    let op = compile_op(snapshot, inner, strategy, filters)?;
     // Post-filters resolve to role indices against the row components: a
     // relation playing several roles is filtered in every one of them.
     let roles = inner.relations();
@@ -397,14 +784,7 @@ fn compile_filtered(
             }
         }
     }
-    if post.is_empty() {
-        Ok(plan)
-    } else {
-        Ok(Box::new(ResidualFilterOp {
-            input: plan,
-            filters: post,
-        }))
-    }
+    Ok(PhysicalPlan { op, post })
 }
 
 /// Checks that every filtered relation name exists in the wrapped shape and
@@ -468,604 +848,6 @@ fn materialize_filtered(base: &Relation, predicate: &Predicate) -> Result<Relati
         }
     })?;
     Ok(Arc::new(index) as Relation)
-}
-
-/// Shared [`PhysicalPlan::detail`] rendering for the select-inner family.
-fn select_inner_detail(query: &SelectInnerJoinQuery) -> String {
-    format!(
-        "k_join={} k_select={} focal=({}, {})",
-        query.k_join, query.k_select, query.focal.x, query.focal.y
-    )
-}
-
-/// Shared [`PhysicalPlan::detail`] rendering for the two-selects family.
-fn two_selects_detail(query: &TwoSelectsQuery) -> String {
-    format!(
-        "k1={} f1=({}, {}) k2={} f2=({}, {})",
-        query.k1, query.f1.x, query.f1.y, query.k2, query.f2.x, query.f2.y
-    )
-}
-
-/// The Counting algorithm (Procedure 1) bound to its relations.
-pub struct CountingOp {
-    /// The outer relation `E1`.
-    pub outer: Relation,
-    /// The inner relation `E2`.
-    pub inner: Relation,
-    /// Query parameters.
-    pub query: SelectInnerJoinQuery,
-}
-
-impl PhysicalPlan for CountingOp {
-    fn name(&self) -> &'static str {
-        "counting"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::SelectInner(SelectInnerStrategy::Counting)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Pairs
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        QueryResult::Pairs {
-            output: counting_with_mode(&*self.outer, &*self.inner, &self.query, mode),
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        select_inner_detail(&self.query)
-    }
-}
-
-/// The Block-Marking algorithm (Procedures 2–3) bound to its relations.
-pub struct BlockMarkingOp {
-    /// The outer relation `E1`.
-    pub outer: Relation,
-    /// The inner relation `E2`.
-    pub inner: Relation,
-    /// Query parameters.
-    pub query: SelectInnerJoinQuery,
-    /// Tuning knobs (contour pruning on/off).
-    pub config: BlockMarkingConfig,
-}
-
-impl PhysicalPlan for BlockMarkingOp {
-    fn name(&self) -> &'static str {
-        "block-marking"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::SelectInner(SelectInnerStrategy::BlockMarking)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Pairs
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        QueryResult::Pairs {
-            output: block_marking_with_mode(
-                &*self.outer,
-                &*self.inner,
-                &self.query,
-                &self.config,
-                mode,
-            ),
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        select_inner_detail(&self.query)
-    }
-}
-
-/// The conceptually correct join-then-intersect QEP (Figure 1).
-pub struct SelectInnerConceptualOp {
-    /// The outer relation `E1`.
-    pub outer: Relation,
-    /// The inner relation `E2`.
-    pub inner: Relation,
-    /// Query parameters.
-    pub query: SelectInnerJoinQuery,
-}
-
-impl PhysicalPlan for SelectInnerConceptualOp {
-    fn name(&self) -> &'static str {
-        "select-inner-conceptual"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::SelectInner(SelectInnerStrategy::Conceptual)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Pairs
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        QueryResult::Pairs {
-            output: conceptual_with_mode(&*self.outer, &*self.inner, &self.query, mode),
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        select_inner_detail(&self.query)
-    }
-}
-
-/// The select-on-outer operator (Figure 3): the valid pushdown, or the
-/// reference select-after-join plan.
-pub struct OuterPushdownOp {
-    /// The outer relation `E1`.
-    pub outer: Relation,
-    /// The inner relation `E2`.
-    pub inner: Relation,
-    /// Query parameters.
-    pub query: SelectOuterJoinQuery,
-    /// Which of the two equivalent QEPs to run.
-    pub strategy: SelectOuterStrategy,
-}
-
-impl PhysicalPlan for OuterPushdownOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            SelectOuterStrategy::Pushdown => "outer-pushdown",
-            SelectOuterStrategy::SelectAfterJoin => "outer-select-after-join",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::SelectOuter(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Pairs
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        let output = match self.strategy {
-            // The pushdown only ever joins the kσ selected points; it is
-            // already the cheap plan and runs serially.
-            SelectOuterStrategy::Pushdown => {
-                select_on_outer_pushdown(&*self.outer, &*self.inner, &self.query)
-            }
-            SelectOuterStrategy::SelectAfterJoin => {
-                select_on_outer_after_join_with_mode(&*self.outer, &*self.inner, &self.query, mode)
-            }
-        };
-        QueryResult::Pairs {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        format!(
-            "k_join={} k_select={} focal=({}, {})",
-            self.query.k_join, self.query.k_select, self.query.focal.x, self.query.focal.y
-        )
-    }
-}
-
-/// Two unchained kNN-joins `(A ⋈ B) ∩_B (C ⋈ B)` (Section 4.1).
-pub struct UnchainedJoinsOp {
-    /// Relation `A`.
-    pub a: Relation,
-    /// The shared inner relation `B`.
-    pub b: Relation,
-    /// Relation `C`.
-    pub c: Relation,
-    /// Query parameters.
-    pub query: UnchainedJoinQuery,
-    /// Which evaluation order / algorithm to run.
-    pub strategy: UnchainedStrategy,
-}
-
-impl PhysicalPlan for UnchainedJoinsOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            UnchainedStrategy::Conceptual => "unchained-conceptual",
-            UnchainedStrategy::BlockMarkingStartWithA => "unchained-block-marking(A⋈B first)",
-            UnchainedStrategy::BlockMarkingStartWithC => "unchained-block-marking(C⋈B first)",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::Unchained(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Triplets
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        let output = match self.strategy {
-            UnchainedStrategy::Conceptual => {
-                unchained_conceptual_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
-            }
-            UnchainedStrategy::BlockMarkingStartWithA => {
-                unchained_block_marking_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
-            }
-            UnchainedStrategy::BlockMarkingStartWithC => {
-                // Start with (C ⋈ B): swap the roles of A and C, then swap the
-                // components back in the emitted triplets.
-                let swapped = UnchainedJoinQuery::new(self.query.k_cb, self.query.k_ab);
-                let out =
-                    unchained_block_marking_with_mode(&*self.c, &*self.b, &*self.a, &swapped, mode);
-                QueryOutput::new(
-                    out.rows
-                        .into_iter()
-                        .map(|t| Triplet::new(t.c, t.b, t.a))
-                        .collect(),
-                    out.metrics,
-                )
-            }
-        };
-        QueryResult::Triplets {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        format!("k_ab={} k_cb={}", self.query.k_ab, self.query.k_cb)
-    }
-}
-
-/// Two chained kNN-joins `A → B → C` (Section 4.2).
-pub struct ChainedJoinsOp {
-    /// Relation `A`.
-    pub a: Relation,
-    /// The middle relation `B`.
-    pub b: Relation,
-    /// Relation `C`.
-    pub c: Relation,
-    /// Query parameters.
-    pub query: ChainedJoinQuery,
-    /// Which of the equivalent QEPs to run.
-    pub strategy: ChainedStrategy,
-}
-
-impl PhysicalPlan for ChainedJoinsOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            ChainedStrategy::RightDeep => "chained-right-deep",
-            ChainedStrategy::JoinIntersection => "chained-join-intersection",
-            ChainedStrategy::NestedJoin => "chained-nested",
-            ChainedStrategy::NestedJoinCached => "chained-nested-cached",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::Chained(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Triplets
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        let output = match self.strategy {
-            ChainedStrategy::RightDeep => {
-                chained_right_deep_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
-            }
-            ChainedStrategy::JoinIntersection => {
-                chained_join_intersection_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
-            }
-            ChainedStrategy::NestedJoin => {
-                chained_nested_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
-            }
-            ChainedStrategy::NestedJoinCached => {
-                chained_nested_cached_with_mode(&*self.a, &*self.b, &*self.c, &self.query, mode)
-            }
-        };
-        QueryResult::Triplets {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        format!("k_ab={} k_bc={}", self.query.k_ab, self.query.k_bc)
-    }
-}
-
-/// Two kNN-selects over one relation (Section 5).
-pub struct TwoSelectsOp {
-    /// The relation both selects run against.
-    pub relation: Relation,
-    /// Query parameters.
-    pub query: TwoSelectsQuery,
-    /// Which of the two equivalent QEPs to run.
-    pub strategy: TwoSelectsStrategy,
-}
-
-impl PhysicalPlan for TwoSelectsOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            TwoSelectsStrategy::Conceptual => "two-selects-conceptual",
-            TwoSelectsStrategy::TwoKnnSelect => "2-knn-select",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::TwoSelects(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Points
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        let output = match self.strategy {
-            // The conceptual QEP's two selects are independent: under a
-            // parallel mode each runs as its own (pool) task.
-            TwoSelectsStrategy::Conceptual => {
-                two_selects_conceptual_with_mode(&*self.relation, &self.query, mode)
-            }
-            // The 2-kNN-select algorithm is inherently sequential (the
-            // second locality is bounded by the first select's result);
-            // batch-level parallelism covers the many-query case.
-            TwoSelectsStrategy::TwoKnnSelect => two_knn_select(&*self.relation, &self.query),
-        };
-        QueryResult::Points {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        two_selects_detail(&self.query)
-    }
-}
-
-/// A single kNN-select `σ_{k,f}(E)`, optionally restricted to the points
-/// matching a **pre-kNN** predicate: "the k nearest *matching* points".
-pub struct KnnSelectOp {
-    /// The relation the select runs against.
-    pub relation: Relation,
-    /// Query parameters.
-    pub query: KnnSelectQuery,
-    /// The pre-kNN filter; [`Predicate::True`] for the unfiltered select.
-    pub predicate: Predicate,
-    /// Masked kernel, or the scan-then-filter baseline.
-    pub strategy: SelectStrategy,
-}
-
-impl PhysicalPlan for KnnSelectOp {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            SelectStrategy::FilteredKernel => "knn-select",
-            SelectStrategy::FilterThenScan => "knn-select-scan",
-        }
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::Select(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Points
-    }
-
-    fn execute(&self, _mode: ExecutionMode) -> QueryResult {
-        // A single select is one neighborhood computation — inherently
-        // sequential; batch-level parallelism covers the many-query case.
-        let output = match self.strategy {
-            SelectStrategy::FilteredKernel => knn_select_filtered(
-                &*self.relation,
-                &self.query.focal,
-                self.query.k,
-                &self.predicate,
-            ),
-            SelectStrategy::FilterThenScan => {
-                // The baseline reads and ranks every point; its counters
-                // reflect that, which is what `ablation_filter` compares.
-                let mut metrics = Metrics::default();
-                metrics.neighborhoods_computed += 1;
-                let n = self.relation.num_points() as u64;
-                metrics.points_scanned += n;
-                metrics.distance_computations += n;
-                let nbr = brute_force_knn_filtered(
-                    &*self.relation,
-                    &self.query.focal,
-                    self.query.k,
-                    &self.predicate,
-                );
-                let rows: Vec<Point> = nbr.points().copied().collect();
-                metrics.tuples_emitted += rows.len() as u64;
-                QueryOutput::new(rows, metrics)
-            }
-        };
-        QueryResult::Points {
-            output,
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        let mut detail = format!(
-            "k={} focal=({}, {})",
-            self.query.k, self.query.focal.x, self.query.focal.y
-        );
-        if !matches!(self.predicate, Predicate::True) {
-            detail.push_str(" pre-filtered");
-        }
-        detail
-    }
-}
-
-/// Two kNN-selects under one **pre-kNN** filter: both filtered selects run
-/// in full through the masked kernel and their results intersect — the
-/// conceptual QEP of Figure 16 made filter-aware. (Procedure 5's bounded
-/// locality is not established under filtering, so it is never used here.)
-pub struct FilteredTwoSelectsOp {
-    /// The relation both selects run against.
-    pub relation: Relation,
-    /// Query parameters.
-    pub query: TwoSelectsQuery,
-    /// The pre-kNN filter both selects apply.
-    pub predicate: Predicate,
-    /// The strategy the optimizer picked for the wrapped shape (reported,
-    /// not dispatched on — filtering forces the conceptual evaluation).
-    pub strategy: TwoSelectsStrategy,
-}
-
-impl PhysicalPlan for FilteredTwoSelectsOp {
-    fn name(&self) -> &'static str {
-        "filtered-two-selects"
-    }
-
-    fn strategy(&self) -> Strategy {
-        Strategy::TwoSelects(self.strategy)
-    }
-
-    fn schema(&self) -> RowSchema {
-        RowSchema::Points
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        let mut metrics = Metrics::default();
-        let predicates = [
-            (self.query.k1, self.query.f1),
-            (self.query.k2, self.query.f2),
-        ];
-        let mut neighborhoods = run_partitioned(
-            &predicates,
-            mode,
-            &mut metrics,
-            |(k, focal), out, metrics| {
-                out.push(knn_select_filtered_neighborhood(
-                    &*self.relation,
-                    focal,
-                    *k,
-                    &self.predicate,
-                    metrics,
-                ));
-            },
-        );
-        let nbr2 = neighborhoods.pop().expect("two predicates evaluated");
-        let nbr1 = neighborhoods.pop().expect("two predicates evaluated");
-        QueryResult::Points {
-            output: intersect_output(&nbr1, &nbr2, metrics),
-            strategy: self.strategy(),
-        }
-    }
-
-    fn detail(&self) -> String {
-        format!("{} pre-filtered", two_selects_detail(&self.query))
-    }
-}
-
-/// The **post-kNN** residual filter: runs any wrapped plan, then keeps only
-/// the rows whose filtered components match. Filters are `(role index,
-/// predicate)` pairs resolved against the row components in relation-role
-/// order (pair: `0 = outer`, `1 = inner`; triplet: `0 = a`, `1 = b`,
-/// `2 = c`; point: `0`).
-pub struct ResidualFilterOp {
-    /// The plan producing the unfiltered rows.
-    pub input: Box<dyn PhysicalPlan>,
-    /// Component filters, by role index.
-    pub filters: Vec<(usize, Predicate)>,
-}
-
-impl ResidualFilterOp {
-    fn row_matches(&self, components: &[&Point]) -> bool {
-        self.filters
-            .iter()
-            .all(|(idx, predicate)| predicate.matches_point(components[*idx]))
-    }
-
-    /// Prunes an input result's rows by the component filters, resetting
-    /// `tuples_emitted` to the surviving row count — the shared step behind
-    /// both [`PhysicalPlan::execute`] and [`PhysicalPlan::execute_traced`].
-    fn apply(&self, input: QueryResult) -> QueryResult {
-        match input {
-            QueryResult::Pairs {
-                mut output,
-                strategy,
-            } => {
-                output
-                    .rows
-                    .retain(|p| self.row_matches(&[&p.left, &p.right]));
-                output.metrics.tuples_emitted = output.rows.len() as u64;
-                QueryResult::Pairs { output, strategy }
-            }
-            QueryResult::Triplets {
-                mut output,
-                strategy,
-            } => {
-                output
-                    .rows
-                    .retain(|t| self.row_matches(&[&t.a, &t.b, &t.c]));
-                output.metrics.tuples_emitted = output.rows.len() as u64;
-                QueryResult::Triplets { output, strategy }
-            }
-            QueryResult::Points {
-                mut output,
-                strategy,
-            } => {
-                output.rows.retain(|p| self.row_matches(&[p]));
-                output.metrics.tuples_emitted = output.rows.len() as u64;
-                QueryResult::Points { output, strategy }
-            }
-        }
-    }
-}
-
-impl PhysicalPlan for ResidualFilterOp {
-    fn name(&self) -> &'static str {
-        "residual-filter"
-    }
-
-    fn strategy(&self) -> Strategy {
-        self.input.strategy()
-    }
-
-    fn schema(&self) -> RowSchema {
-        self.input.schema()
-    }
-
-    fn execute(&self, mode: ExecutionMode) -> QueryResult {
-        self.apply(self.input.execute(mode))
-    }
-
-    fn execute_traced(&self, mode: ExecutionMode) -> (QueryResult, crate::obs::OpTrace) {
-        let start = std::time::Instant::now();
-        let (input, child) = self.input.execute_traced(mode);
-        let result = self.apply(input);
-        let trace = crate::obs::OpTrace {
-            name: self.name(),
-            strategy: self.strategy(),
-            rows: result.num_rows(),
-            wall: start.elapsed(),
-            inclusive: result.metrics(),
-            children: vec![child],
-        };
-        (result, trace)
-    }
-
-    fn detail(&self) -> String {
-        format!("{} filtered roles", self.filters.len())
-    }
-
-    fn children(&self) -> Vec<&dyn PhysicalPlan> {
-        vec![&*self.input]
-    }
-
-    fn explain(&self) -> String {
-        format!(
-            "residual-filter({} roles) <- {}",
-            self.filters.len(),
-            self.input.explain()
-        )
-    }
 }
 
 #[cfg(test)]

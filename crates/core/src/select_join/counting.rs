@@ -40,8 +40,8 @@ where
 ///
 /// The per-outer-point test is independent of every other point, so in a
 /// parallel mode the outer relation's blocks are partitioned across the
-/// mode's workers — the shared persistent pool for `Pooled` (the default),
-/// a freshly spawned scoped team for `Parallel`. The result rows (in order)
+/// workers of the shared persistent pool (`Pooled`, the default). The result
+/// rows (in order)
 /// and the merged work counters are identical to the serial run.
 pub fn counting_with_mode<O, I>(
     outer: &O,

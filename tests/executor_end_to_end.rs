@@ -1,7 +1,7 @@
 //! End-to-end tests of the catalog / optimizer / executor layer on realistic
-//! (BerlinMOD-like and clustered) workloads, plus the parallel join operator.
+//! (BerlinMOD-like and clustered) workloads, plus the pooled join operator.
 
-use two_knn::core::join::{knn_join, knn_join_parallel};
+use two_knn::core::join::{knn_join, knn_join_rows_with_mode};
 use two_knn::core::joins2::ChainedJoinQuery;
 use two_knn::core::joins2::UnchainedJoinQuery;
 use two_knn::core::output::pair_id_set;
@@ -12,7 +12,7 @@ use two_knn::core::plan::{
 use two_knn::core::select_join::SelectInnerJoinQuery;
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::datagen::{berlinmod, clustered, BerlinModConfig, ClusterConfig};
-use two_knn::{GridIndex, Point};
+use two_knn::{ExecutionMode, GridIndex, Metrics, Point, WorkerPool};
 
 fn build_db() -> Database {
     let mut db = Database::new();
@@ -201,7 +201,10 @@ fn parallel_knn_join_matches_sequential_on_city_data() {
     .unwrap();
     let seq = knn_join(&outer, &inner, 3);
     for threads in [2, 4, 8] {
-        let par = knn_join_parallel(&outer, &inner, 3, threads);
-        assert_eq!(pair_id_set(&seq.rows), pair_id_set(&par.rows));
+        let mut metrics = Metrics::default();
+        let par = WorkerPool::new(threads).bind(|| {
+            knn_join_rows_with_mode(&outer, &inner, 3, ExecutionMode::Pooled, &mut metrics)
+        });
+        assert_eq!(pair_id_set(&seq.rows), pair_id_set(&par));
     }
 }

@@ -1,15 +1,16 @@
 //! Executor-level equivalence suite: every [`QuerySpec`] shape under every
 //! [`Strategy`], on all three index types (grid, PR-quadtree, STR R-tree),
-//! executed serially, over per-call scoped threads, and over the persistent
-//! worker pool — all combinations must return the identical result set.
+//! executed serially, over the shared persistent worker pool, and over an
+//! explicit 4-thread pool — all combinations must return the identical
+//! result set.
 //! This is the contract the physical-operator layer must keep: the strategy
 //! choice, the index structure and the execution mode are performance
 //! knobs, never semantics knobs.
 //!
-//! With the `parallel` cargo feature enabled the parallel runs really fan
-//! out over worker threads (the pooled runs over the shared lazily-spawned
-//! pool); without it they fall back to serial, so the suite passes in both
-//! configurations (trivially so in the second).
+//! With the `parallel` cargo feature enabled the pooled runs really fan out
+//! over worker threads — the 4-thread leg partitions 4 ways whatever the
+//! machine's core count; without it they fall back to serial, so the suite
+//! passes in both configurations (trivially so in the second).
 
 use std::collections::BTreeSet;
 
@@ -26,7 +27,7 @@ use two_knn::core::ExecutionMode;
 use two_knn::datagen::{berlinmod, BerlinModConfig};
 use two_knn::geometry::Predicate;
 use two_knn::Rect;
-use two_knn::{GridIndex, Point, QuadtreeIndex, StrRTree};
+use two_knn::{GridIndex, Point, QuadtreeIndex, StrRTree, WorkerPool};
 
 /// The strategies available for each query shape.
 fn strategies_for(spec: &QuerySpec) -> Vec<Strategy> {
@@ -191,31 +192,30 @@ fn specs() -> Vec<(QuerySpec, RowSchema)> {
 }
 
 /// The heart of the suite: for every index type, every query shape, every
-/// strategy, serial, scoped-parallel and pooled execution must all agree on
-/// the result set.
+/// strategy, serial and pooled execution (on the shared pool and on a
+/// 4-thread pool) must all agree on the result set.
 #[test]
 fn every_strategy_and_mode_agrees_on_every_index() {
-    let parallel_modes = [
-        ExecutionMode::Parallel { threads: 4 },
-        ExecutionMode::Pooled,
+    let pools = [
+        ("pooled on a 4-thread pool", WorkerPool::new(4)),
+        ("pooled", WorkerPool::current()),
     ];
     for (index_name, db) in databases() {
         for (spec, schema) in specs() {
             let mut reference: Option<BTreeSet<Vec<u64>>> = None;
             for strategy in strategies_for(&spec) {
-                let serial = db
-                    .execute_with_strategy_and_mode(&spec, strategy, ExecutionMode::Serial)
+                let plan = db
+                    .compile(&spec, strategy)
                     .unwrap_or_else(|e| panic!("{index_name}/{strategy}: {e}"));
-                for mode in parallel_modes {
-                    let par = db
-                        .execute_with_strategy_and_mode(&spec, strategy, mode)
-                        .unwrap_or_else(|e| panic!("{index_name}/{strategy} ({mode:?}): {e}"));
+                let serial = plan.execute(ExecutionMode::Serial);
+                for (leg, pool) in &pools {
+                    let par = pool.bind(|| plan.execute(ExecutionMode::Pooled));
 
                     // Serial and parallel agree exactly — rows and row order.
                     assert_eq!(
                         serial.rows(),
                         par.rows(),
-                        "serial vs {mode:?} rows differ: {index_name}/{strategy}"
+                        "serial vs {leg} rows differ: {index_name}/{strategy}"
                     );
                 }
                 for row in serial.rows() {
@@ -241,15 +241,15 @@ fn every_strategy_and_mode_agrees_on_every_index() {
     }
 }
 
-/// Serial, scoped-parallel and pooled execution must also report identical
-/// work counters for the schedule-independent operators (all but the cached
-/// chained join, whose per-worker caches legitimately change the hit
-/// pattern).
+/// Serial and pooled execution (on the shared pool and on a 4-thread pool)
+/// must also report identical work counters for the schedule-independent
+/// operators (all but the cached chained join, whose per-worker caches
+/// legitimately change the hit pattern).
 #[test]
 fn parallel_metrics_merge_to_serial_totals() {
-    let parallel_modes = [
-        ExecutionMode::Parallel { threads: 4 },
-        ExecutionMode::Pooled,
+    let pools = [
+        ("pooled on a 4-thread pool", WorkerPool::new(4)),
+        ("pooled", WorkerPool::current()),
     ];
     let (_, db) = databases().remove(0);
     for (spec, _) in specs() {
@@ -257,17 +257,14 @@ fn parallel_metrics_merge_to_serial_totals() {
             if strategy == Strategy::Chained(ChainedStrategy::NestedJoinCached) {
                 continue;
             }
-            let serial = db
-                .execute_with_strategy_and_mode(&spec, strategy, ExecutionMode::Serial)
-                .unwrap();
-            for mode in parallel_modes {
-                let par = db
-                    .execute_with_strategy_and_mode(&spec, strategy, mode)
-                    .unwrap();
+            let plan = db.compile(&spec, strategy).unwrap();
+            let serial = plan.execute(ExecutionMode::Serial);
+            for (leg, pool) in &pools {
+                let par = pool.bind(|| plan.execute(ExecutionMode::Pooled));
                 assert_eq!(
                     serial.metrics(),
                     par.metrics(),
-                    "metrics diverge under {mode:?} execution: {strategy}"
+                    "metrics diverge under {leg} execution: {strategy}"
                 );
             }
         }

@@ -272,6 +272,27 @@ mod tests {
     use super::*;
 
     #[test]
+    fn serial_and_parallel_produce_identical_ordered_output() {
+        let items: Vec<u64> = (0..1_000).collect();
+        let work = |item: &u64, out: &mut Vec<u64>, metrics: &mut Metrics| {
+            metrics.points_scanned += 1;
+            out.push(item * 2);
+            if item % 3 == 0 {
+                out.push(item * 2 + 1);
+            }
+        };
+        let mut m_serial = Metrics::default();
+        let serial = run_partitioned(&items, ExecutionMode::Serial, &mut m_serial, work);
+        // A 7-way team whatever the machine's core count.
+        let mut m_par = Metrics::default();
+        let parallel = WorkerPool::new(7)
+            .bind(|| run_partitioned(&items, ExecutionMode::Pooled, &mut m_par, work));
+        assert_eq!(serial, parallel);
+        assert_eq!(m_serial, m_par);
+        assert_eq!(m_serial.points_scanned, 1_000);
+    }
+
+    #[test]
     fn serial_and_pooled_produce_identical_ordered_output() {
         let items: Vec<u64> = (0..1_000).collect();
         let work = |item: &u64, out: &mut Vec<u64>, metrics: &mut Metrics| {
@@ -283,15 +304,10 @@ mod tests {
         };
         let mut m_serial = Metrics::default();
         let serial = run_partitioned(&items, ExecutionMode::Serial, &mut m_serial, work);
-        assert_eq!(m_serial.points_scanned, 1_000);
-        // The global pool, and a 7-way pool whatever the machine's core count.
-        for pool in [WorkerPool::current(), WorkerPool::new(7)] {
-            let mut m_pool = Metrics::default();
-            let pooled =
-                pool.bind(|| run_partitioned(&items, ExecutionMode::Pooled, &mut m_pool, work));
-            assert_eq!(serial, pooled);
-            assert_eq!(m_serial, m_pool);
-        }
+        let mut m_pool = Metrics::default();
+        let pooled = run_partitioned(&items, ExecutionMode::Pooled, &mut m_pool, work);
+        assert_eq!(serial, pooled);
+        assert_eq!(m_serial, m_pool);
     }
 
     #[test]

@@ -164,6 +164,23 @@ mod tests {
     }
 
     #[test]
+    fn parallel_join_matches_sequential() {
+        let outer = relation(80, 1.1, 0.0);
+        let inner = relation(120, 0.8, 0.5);
+        let seq = knn_join(&outer, &inner, 5);
+        // A 4-way pool whatever the machine's core count.
+        let mut metrics = Metrics::default();
+        let rows = WorkerPool::new(4).bind(|| {
+            knn_join_rows_with_mode(&outer, &inner, 5, ExecutionMode::Pooled, &mut metrics)
+        });
+        assert_eq!(pair_id_set(&seq.rows), pair_id_set(&rows));
+        assert_eq!(
+            seq.metrics.neighborhoods_computed,
+            metrics.neighborhoods_computed
+        );
+    }
+
+    #[test]
     fn pooled_join_matches_sequential_exactly() {
         let outer = relation(80, 1.1, 0.0);
         let inner = relation(120, 0.8, 0.5);

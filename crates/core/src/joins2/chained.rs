@@ -20,9 +20,7 @@
 //! worker pool for each phase instead of spawning a fresh thread team per
 //! phase.
 
-use std::collections::HashMap;
-
-use twoknn_geometry::PointId;
+use twoknn_geometry::IdMap;
 use twoknn_index::{get_knn, Metrics, Neighborhood, SpatialIndex};
 
 use crate::exec::{run_over_blocks, run_partitioned, ExecutionMode};
@@ -79,7 +77,7 @@ where
     let mut metrics = Metrics::default();
     // Materialize (B ⋈kNN C) into a map keyed by b.
     let bc_pairs = knn_join_rows_with_mode(b, c, query.k_bc, mode, &mut metrics);
-    let mut bc_by_b: HashMap<PointId, Vec<twoknn_geometry::Point>> = HashMap::new();
+    let mut bc_by_b: IdMap<Vec<twoknn_geometry::Point>> = IdMap::default();
     for p in &bc_pairs {
         bc_by_b.entry(p.left.id).or_default().push(p.right);
     }
@@ -135,7 +133,7 @@ where
     let ab_pairs = knn_join_rows_with_mode(a, b, query.k_ab, mode, &mut metrics);
     let bc_pairs = knn_join_rows_with_mode(b, c, query.k_bc, mode, &mut metrics);
 
-    let mut bc_by_b: HashMap<PointId, Vec<twoknn_geometry::Point>> = HashMap::new();
+    let mut bc_by_b: IdMap<Vec<twoknn_geometry::Point>> = IdMap::default();
     for p in &bc_pairs {
         bc_by_b.entry(p.left.id).or_default().push(p.right);
     }
@@ -256,7 +254,7 @@ where
     let chunks: Vec<&[twoknn_index::BlockMeta]> = blocks.chunks(chunk_len).collect();
 
     let rows = run_partitioned(&chunks, mode, &mut metrics, |chunk, rows, metrics| {
-        let mut cache: HashMap<PointId, Neighborhood> = HashMap::new();
+        let mut cache: IdMap<Neighborhood> = IdMap::default();
         for block in *chunk {
             for a_point in a.block_points(block.id) {
                 let nbr_a = get_knn(b, &a_point, query.k_ab, metrics);

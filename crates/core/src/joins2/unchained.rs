@@ -5,9 +5,7 @@
 //! join phases run on the shared persistent worker pool, so a batch of
 //! unchained queries never spawns threads per phase.
 
-use std::collections::{HashMap, HashSet};
-
-use twoknn_geometry::PointId;
+use twoknn_geometry::{IdMap, IdSet};
 use twoknn_index::{get_knn, BlockId, Metrics, SpatialIndex};
 
 use crate::exec::{run_over_blocks, ExecutionMode};
@@ -155,7 +153,7 @@ where
     let ab_pairs = knn_join_rows_with_mode(a, b, query.k_ab, mode, &mut metrics);
 
     // Lines 4–8: mark Candidate blocks of B (blocks containing matched b's).
-    let mut candidate_blocks: HashSet<BlockId> = HashSet::new();
+    let mut candidate_blocks: IdSet<BlockId> = IdSet::default();
     for pair in &ab_pairs {
         if let Some(block_id) = b.locate(&pair.right) {
             candidate_blocks.insert(block_id);
@@ -232,8 +230,8 @@ fn intersect_on_b(ab_pairs: &[Pair], cb_pairs: &[Pair]) -> Vec<Triplet> {
     rows
 }
 
-fn group_pairs_by_right(pairs: &[Pair]) -> HashMap<PointId, Vec<twoknn_geometry::Point>> {
-    let mut map: HashMap<PointId, Vec<twoknn_geometry::Point>> = HashMap::new();
+fn group_pairs_by_right(pairs: &[Pair]) -> IdMap<Vec<twoknn_geometry::Point>> {
+    let mut map: IdMap<Vec<twoknn_geometry::Point>> = IdMap::default();
     for p in pairs {
         map.entry(p.right.id).or_default().push(p.left);
     }
@@ -241,7 +239,7 @@ fn group_pairs_by_right(pairs: &[Pair]) -> HashMap<PointId, Vec<twoknn_geometry:
 }
 
 fn dedup_right_points(pairs: &[Pair]) -> Vec<twoknn_geometry::Point> {
-    let mut seen = HashSet::new();
+    let mut seen = IdSet::default();
     let mut out = Vec::new();
     for p in pairs {
         if seen.insert(p.right.id) {

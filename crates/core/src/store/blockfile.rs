@@ -234,15 +234,18 @@ impl BlockFileIndex {
         self.decoded[id as usize].get_or_init(|| {
             let count = self.metas[id as usize].count;
             let at = self.offsets[id as usize] as usize;
-            let mut block = PointBlock::with_capacity(count);
-            for i in 0..count {
-                block.push(Point::new(
-                    read_u64(&self.buf, at + i * 8),
-                    f64::from_bits(read_u64(&self.buf, at + (count + i) * 8)),
-                    f64::from_bits(read_u64(&self.buf, at + (2 * count + i) * 8)),
-                ));
-            }
-            block
+            // The payload is the three columns back to back; decode each
+            // with one pass over its bytes.
+            let column = |c: usize| {
+                self.buf[at + c * count * 8..at + (c + 1) * count * 8]
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            };
+            PointBlock::from_columns(
+                column(0).collect(),
+                column(1).map(f64::from_bits).collect(),
+                column(2).map(f64::from_bits).collect(),
+            )
         })
     }
 

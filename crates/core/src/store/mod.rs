@@ -280,16 +280,7 @@ impl RelationStore {
         let (relations, replayed) =
             recover::recover_relations(dir, *sync, *segment_bytes, &config, &metrics, &obs)?;
         obs.record(HistogramKind::Recovery, start.elapsed());
-        obs.event(
-            EventKind::Recovery,
-            format!(
-                "{} relation(s) recovered from {}; {} WAL record(s) ({} op(s)) replayed",
-                relations.len(),
-                dir.display(),
-                replayed.records,
-                replayed.ops
-            ),
-        );
+        obs.event(EventKind::Recovery, replayed.describe(relations.len(), dir));
         Ok(Self {
             relations: RwLock::new(relations),
             config,
@@ -749,5 +740,53 @@ mod tests {
         assert_eq!(snap.num_points(), 99);
         // compact_now with an empty delta is a no-op.
         assert_eq!(store.compact_now("R", &pool).unwrap(), None);
+    }
+
+    #[test]
+    fn recovery_event_reports_the_replay_and_its_phase_times() {
+        let root =
+            std::env::temp_dir().join(format!("twoknn-recovery-event-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let config = StoreConfig {
+            durability: DurabilityConfig::at(&root),
+            ..StoreConfig::default()
+        };
+        {
+            let store = RelationStore::new(config.clone());
+            store.register("R", base(100, 3), GRID);
+            let pool = WorkerPool::new(1);
+            let ops = [
+                WriteOp::Upsert(Point::new(500, 1.0, 1.0)),
+                WriteOp::Remove(2),
+            ];
+            store.ingest("R", &ops, &pool).unwrap();
+            store.ingest("R", &[WriteOp::Remove(3)], &pool).unwrap();
+            // Dropped without a checkpoint: both records stay in the suffix.
+        }
+        let store = RelationStore::open(config).unwrap();
+        let events = store.obs().drain_events();
+        let recovery = events
+            .iter()
+            .find(|e| e.kind == EventKind::Recovery)
+            .expect("open records a recovery event");
+        let detail = &recovery.detail;
+        let head = format!(
+            "1 relation(s) recovered from {}; 2 WAL record(s) (3 op(s)) replayed; ",
+            root.display()
+        );
+        assert!(detail.starts_with(&head), "{detail}");
+        let phases: Vec<(&str, f64)> = detail[head.len()..]
+            .split(", ")
+            .map(|field| {
+                let (name, ms) = field.split_once(' ').expect("`<phase> <ms> ms`");
+                let ms = ms.strip_suffix(" ms").expect("times are in ms");
+                (name, ms.parse().expect("a number of ms"))
+            })
+            .collect();
+        assert_eq!(phases.len(), 2, "{detail}");
+        assert_eq!((phases[0].0, phases[1].0), ("route", "apply"), "{detail}");
+        assert!(phases.iter().all(|(_, ms)| *ms >= 0.0), "{detail}");
+        assert_eq!(store.get("R").unwrap().load().num_points(), 99);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -219,16 +219,58 @@ impl OverlayGrid {
         true
     }
 
-    /// Rebuilds every cell over a fresh extent (the inserts' bounding box).
+    /// Rebuilds every cell over a fresh extent (the inserts' bounding box):
+    /// one pass assigns the cells, a second fills cells pre-sized to their
+    /// counts.
     fn rebucket(&mut self, inserts: &[Point], fanout: usize) {
         self.bounds = Rect::bounding(inserts).expect("rebucket requires inserts");
         self.cells_per_axis = fanout;
-        self.cells = vec![Cell::empty(); fanout * fanout];
-        self.len = 0;
+        self.len = inserts.len();
         self.outside = 0;
-        for p in inserts {
-            self.add(*p);
+        let at: Vec<usize> = inserts.iter().map(|p| self.cell_of(p)).collect();
+        let mut counts = vec![0usize; fanout * fanout];
+        for &cell in &at {
+            counts[cell] += 1;
         }
+        let mut blocks: Vec<PointBlock> = counts
+            .iter()
+            .map(|&n| PointBlock::with_capacity(n))
+            .collect();
+        for (p, &cell) in inserts.iter().zip(&at) {
+            blocks[cell].push(*p);
+        }
+        let empty = Cell::empty();
+        self.cells = blocks
+            .into_iter()
+            .map(|points| match points.bounding() {
+                Ok(mbr) => Cell {
+                    points: Arc::new(points),
+                    mbr,
+                },
+                Err(_) => empty.clone(),
+            })
+            .collect();
+    }
+
+    /// The grid after one batch: `removed` (the stored copies) leave,
+    /// `added` arrive, and `inserts` is the delta's complete insert list
+    /// afterwards. Only the cells the batch touches are edited (the rest
+    /// stay `Arc`-shared with `self`); the grid re-anchors at most once per
+    /// batch, when the geometric trigger of
+    /// [`OverlayGrid::maybe_rebucket`] fires.
+    pub(crate) fn edited(&self, removed: &[Point], added: &[Point], inserts: &[Point]) -> Self {
+        if inserts.is_empty() {
+            return Self::new(self.config);
+        }
+        let mut grid = self.clone();
+        for p in removed {
+            grid.remove(p);
+        }
+        for p in added {
+            grid.add(*p);
+        }
+        grid.maybe_rebucket(inserts);
+        grid
     }
 
     /// The occupied cells in ascending cell-index order:

@@ -37,6 +37,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 use twoknn_geometry::Rect;
 use twoknn_index::{Metrics, SpatialIndex};
@@ -557,6 +558,26 @@ pub(crate) struct Replayed {
     pub records: usize,
     /// The write ops those records carried.
     pub ops: usize,
+    /// Time spent routing the replayed ops to shards.
+    pub route: Duration,
+    /// Time spent applying them to the shard snapshots.
+    pub apply: Duration,
+}
+
+impl Replayed {
+    /// The `recovery` event's text: what was recovered from where, the
+    /// replayed WAL records and ops, and where the replay spent its time.
+    pub(crate) fn describe(&self, relations: usize, dir: &Path) -> String {
+        format!(
+            "{relations} relation(s) recovered from {}; {} WAL record(s) ({} op(s)) replayed; \
+             route {:.3} ms, apply {:.3} ms",
+            dir.display(),
+            self.records,
+            self.ops,
+            self.route.as_secs_f64() * 1e3,
+            self.apply.as_secs_f64() * 1e3,
+        )
+    }
 }
 
 /// Rebuilds the relation catalog from a durable store directory: for every
@@ -602,6 +623,8 @@ pub(crate) fn recover_relations(
         drop(m);
         replayed.records += rel_replayed.records;
         replayed.ops += rel_replayed.ops;
+        replayed.route += rel_replayed.route;
+        replayed.apply += rel_replayed.apply;
         out.insert(rel.name().to_string(), rel);
     }
     Ok((out, replayed))
@@ -657,7 +680,7 @@ fn recover_relation(
     }
     replayed.ops = batch.len();
     if !batch.is_empty() {
-        rel.ingest_replay(&batch);
+        (replayed.route, replayed.apply) = rel.ingest_replay(&batch);
     }
     Ok((rel, replayed))
 }

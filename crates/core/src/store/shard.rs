@@ -26,10 +26,9 @@
 //! composed snapshot is a transparent wrapper over a single shard and every
 //! query takes the flat single-walk path.
 
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use twoknn_geometry::{Point, PointId, Rect};
+use twoknn_geometry::{IdSet, Point, PointId, Rect};
 use twoknn_index::{BlockId, BlockMeta, BlockPoints, PartitionMeta, SpatialIndex};
 
 use crate::plan::stats::RelationProfile;
@@ -271,7 +270,7 @@ impl RelationSnapshot {
         if *self.block_base.last().unwrap() as usize != self.blocks.len() {
             return Err("block_base does not cover the composed block space".into());
         }
-        let mut seen: HashSet<PointId> = HashSet::with_capacity(self.num_points);
+        let mut seen: IdSet = IdSet::with_capacity_and_hasher(self.num_points, Default::default());
         for (s, shard) in self.shards.iter().enumerate() {
             let part = self.partitions[s];
             if part.first_block != self.block_base[s]

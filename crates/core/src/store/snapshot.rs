@@ -14,7 +14,8 @@
 //! * every **base block** keeps its id and footprint; blocks containing
 //!   tombstoned points expose a filtered copy of their point list (the
 //!   filtered copies are built once, when the snapshot is created — reads
-//!   are plain slice borrows);
+//!   are plain slice borrows, and a shard without tombstones skips the
+//!   lookup altogether);
 //! * the **inserted points** live in the delta's [`OverlayGrid`]: each
 //!   occupied grid cell becomes one extra overlay block appended after the
 //!   base blocks, with the **tight bounding box of the cell's points** as
@@ -29,6 +30,15 @@
 //! overlay-specific guarantees (exact per-cell counts/MBRs, tombstones
 //! filtered everywhere, inserts locatable in O(cell)).
 //!
+//! A write batch reaches a shard through [`ShardSnapshot::apply_batch`]:
+//! [`Delta::apply_batch`] merges the batch into the delta, reporting the
+//! ids it newly tombstoned, and only the base blocks holding those ids get a
+//! new filtered copy — one column-wise pass each, from the block's previous
+//! filtered copy. Every other filtered copy and overlay cell is `Arc`-shared
+//! with the predecessor, so a batch costs what it touches, not what the
+//! shard holds. The id → block map and the tombstoned-block map are
+//! [`IdMap`]s (integer hasher, not SipHash).
+//!
 //! Because a snapshot is immutable, its optimizer statistics are immutable
 //! too: [`ShardSnapshot::profile`] memoizes the
 //! [`RelationProfile`](crate::plan::RelationProfile) on first use; the
@@ -36,10 +46,9 @@
 //! way, so a batch of queries planned against one snapshot profiles each
 //! relation once, not once per query.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use twoknn_geometry::{Point, PointId, Rect};
+use twoknn_geometry::{IdMap, Point, PointId, Rect};
 use twoknn_index::{BlockId, BlockMeta, BlockPoints, PointBlock, SpatialIndex};
 
 use crate::plan::stats::RelationProfile;
@@ -61,7 +70,7 @@ pub type BaseIndex = Arc<dyn SpatialIndex + Send + Sync>;
 /// block's columns to decode.
 pub(crate) struct BaseIds {
     base: BaseIndex,
-    map: OnceLock<HashMap<PointId, BlockId>>,
+    map: OnceLock<IdMap<BlockId>>,
 }
 
 impl BaseIds {
@@ -73,7 +82,7 @@ impl BaseIds {
     }
 
     /// The id → block map, built on first call (one O(n) scan of the base).
-    pub(crate) fn get(&self) -> &HashMap<PointId, BlockId> {
+    pub(crate) fn get(&self) -> &IdMap<BlockId> {
         self.map.get_or_init(|| index_ids(self.base.as_ref()))
     }
 }
@@ -82,14 +91,48 @@ impl BaseIds {
 pub(crate) type BaseIdMap = Arc<BaseIds>;
 
 /// Builds the id → block map of a base index.
-pub(crate) fn index_ids(base: &dyn SpatialIndex) -> HashMap<PointId, BlockId> {
-    let mut ids = HashMap::with_capacity(base.num_points());
+pub(crate) fn index_ids(base: &dyn SpatialIndex) -> IdMap<BlockId> {
+    let mut ids = IdMap::with_capacity_and_hasher(base.num_points(), Default::default());
     for block in base.blocks() {
-        for p in base.block_points(block.id) {
-            ids.insert(p.id, block.id);
+        for &id in base.block_points(block.id).ids() {
+            ids.insert(id, block.id);
         }
     }
     ids
+}
+
+/// Gives every base block holding one of the newly tombstoned `fresh` ids a
+/// new filtered copy in `tombstoned`: each such block is re-filtered once,
+/// from its previous filtered copy when it has one (the older tombstones
+/// are already gone from it) or else from the base.
+fn refilter(
+    base: &dyn SpatialIndex,
+    ids: &IdMap<BlockId>,
+    tombstoned: &mut IdMap<Arc<PointBlock>, BlockId>,
+    fresh: &[PointId],
+) {
+    let mut by_block: Vec<(BlockId, PointId)> = fresh
+        .iter()
+        .map(|id| {
+            let block = *ids
+                .get(id)
+                .expect("delta tombstones only reference ids stored in the base");
+            (block, *id)
+        })
+        .collect();
+    by_block.sort_unstable();
+    let mut rest = &by_block[..];
+    while let Some(&(block, _)) = rest.first() {
+        let (gone, tail) = rest.split_at(rest.partition_point(|&(of, _)| of == block));
+        rest = tail;
+        let source = match tombstoned.get(&block) {
+            Some(filtered) => filtered.view(),
+            None => base.block_points(block),
+        };
+        // `gone` is sorted by id: a binary search per row.
+        let kept = source.without_ids(|id| gone.binary_search_by_key(&id, |&(_, g)| g).is_ok());
+        tombstoned.insert(block, Arc::new(kept));
+    }
 }
 
 /// An immutable versioned view of a relation: base index + delta overlay.
@@ -111,7 +154,7 @@ pub struct ShardSnapshot {
     /// Filtered point lists (SoA blocks) of the base blocks that lost points
     /// to tombstones. `Arc`'d so successive snapshots share the lists of
     /// blocks an ingest batch did not touch.
-    tombstoned: HashMap<BlockId, Arc<PointBlock>>,
+    tombstoned: IdMap<Arc<PointBlock>, BlockId>,
     bounds: Rect,
     num_points: usize,
     version: u64,
@@ -120,112 +163,55 @@ pub struct ShardSnapshot {
     profile: OnceLock<RelationProfile>,
 }
 
-/// The per-op outcome of applying one ingest batch to a snapshot.
-pub(crate) struct BatchOutcome {
-    /// Per op: whether it changed the visible point set. (Per-op *prior
-    /// visibility* is resolved one level up, during shard routing, where a
-    /// batch's ops may span shards.)
-    pub changed: Vec<bool>,
-}
-
 impl ShardSnapshot {
     /// Wraps a freshly built base index with an empty overlay.
     pub(crate) fn clean(base: BaseIndex, version: u64, overlay: OverlayConfig) -> Self {
         let base_ids = BaseIds::new(&base);
-        Self::assemble(base, base_ids, Delta::with_config(overlay), version)
-    }
-
-    /// A new snapshot over the same base with a different overlay, rebuilt
-    /// from scratch (used by the compaction publish path, where there is no
-    /// previous overlay to share with).
-    pub(crate) fn with_delta(&self, delta: Delta, version: u64) -> Self {
-        Self::assemble(
-            Arc::clone(&self.base),
-            Arc::clone(&self.base_ids),
-            delta,
+        Self::finish(
+            base,
+            base_ids,
+            Delta::with_config(overlay),
+            IdMap::default(),
             version,
         )
     }
 
-    /// Applies one ingest batch, producing the successor snapshot plus the
-    /// per-op [`BatchOutcome`].
+    /// Applies one ingest batch through [`Delta::apply_batch`], producing
+    /// the successor snapshot plus, per op, whether it changed the visible
+    /// point set. (Per-op *prior visibility* is resolved one level up,
+    /// during shard routing, where a batch's ops may span shards.)
     ///
-    /// Incremental on the writer path: only the blocks that gained a
-    /// tombstone **in this batch** get their filtered point list rebuilt;
-    /// all other filtered lists are shared with `self` (tombstones never
-    /// disappear between compactions, so stale sharing is impossible).
-    pub(crate) fn apply_batch(&self, ops: &[WriteOp], version: u64) -> (Self, BatchOutcome) {
-        let mut delta = self.delta.clone();
-        let mut changed = Vec::with_capacity(ops.len());
-        let mut touched: Vec<BlockId> = Vec::new();
-        for op in ops {
-            let id = match op {
-                WriteOp::Upsert(p) => p.id,
-                WriteOp::Remove(id) => *id,
-            };
-            let deletes_before = delta.deletes().len();
-            changed.push(delta.apply(op, |id| self.base_ids.get().contains_key(&id)));
-            if delta.deletes().len() != deletes_before {
-                touched.push(self.base_ids.get()[&id]);
-            }
-        }
+    /// The cost is proportional to the batch: one merge of the delta's
+    /// sorted vectors, and a new filtered copy only of the base blocks that
+    /// gained a tombstone **in this batch** (each re-filtered once, from its
+    /// previous filtered copy). All other filtered lists are shared with
+    /// `self` — tombstones never disappear between compactions, so stale
+    /// sharing is impossible.
+    pub(crate) fn apply_batch(&self, ops: &[WriteOp], version: u64) -> (Self, Vec<bool>) {
+        let ids = self.base_ids.get();
+        let applied = self.delta.apply_batch(ops, |id| ids.contains_key(&id));
         let mut tombstoned = self.tombstoned.clone();
-        touched.sort_unstable();
-        touched.dedup();
-        for block in touched {
-            tombstoned.insert(
-                block,
-                Arc::new(
-                    self.base
-                        .block_points(block)
-                        .iter()
-                        .filter(|p| !delta.is_deleted(p.id))
-                        .collect(),
-                ),
-            );
-        }
+        refilter(
+            self.base.as_ref(),
+            ids,
+            &mut tombstoned,
+            &applied.tombstoned,
+        );
         let snapshot = Self::finish(
             Arc::clone(&self.base),
             Arc::clone(&self.base_ids),
-            delta,
+            applied.delta,
             tombstoned,
             version,
         );
-        (snapshot, BatchOutcome { changed })
-    }
-
-    fn assemble(base: BaseIndex, base_ids: BaseIdMap, delta: Delta, version: u64) -> Self {
-        let mut affected: Vec<BlockId> = delta
-            .deletes()
-            .iter()
-            .map(|id| {
-                *base_ids
-                    .get()
-                    .get(id)
-                    .expect("delta tombstones only reference ids stored in the base")
-            })
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        let tombstoned: HashMap<BlockId, Arc<PointBlock>> = affected
-            .into_iter()
-            .map(|block| {
-                let filtered: PointBlock = base
-                    .block_points(block)
-                    .iter()
-                    .filter(|p| !delta.is_deleted(p.id))
-                    .collect();
-                (block, Arc::new(filtered))
-            })
-            .collect();
-        Self::finish(base, base_ids, delta, tombstoned, version)
+        (snapshot, applied.changed)
     }
 
     fn finish(
         base: BaseIndex,
         base_ids: BaseIdMap,
         delta: Delta,
-        tombstoned: HashMap<BlockId, Arc<PointBlock>>,
+        tombstoned: IdMap<Arc<PointBlock>, BlockId>,
         version: u64,
     ) -> Self {
         let mut blocks: Vec<BlockMeta> = base.blocks().to_vec();
@@ -282,10 +268,6 @@ impl ShardSnapshot {
     /// The shared base index.
     pub fn base(&self) -> &BaseIndex {
         &self.base
-    }
-
-    pub(crate) fn base_ids(&self) -> &BaseIdMap {
-        &self.base_ids
     }
 
     /// Whether a point with `id` is visible in this snapshot.
@@ -427,10 +409,13 @@ impl SpatialIndex for ShardSnapshot {
         if let Some(ordinal) = (id as usize).checked_sub(self.base.num_blocks()) {
             return self.delta.grid().cell_points(self.overlay_cells[ordinal]);
         }
-        match self.tombstoned.get(&id) {
-            Some(filtered) => filtered.view(),
-            None => self.base.block_points(id),
+        // Most shards carry no tombstones; skip the probe for them.
+        if !self.tombstoned.is_empty() {
+            if let Some(filtered) = self.tombstoned.get(&id) {
+                return filtered.view();
+            }
         }
+        self.base.block_points(id)
     }
 
     fn locate(&self, p: &Point) -> Option<BlockId> {
@@ -612,16 +597,137 @@ mod tests {
 
     fn snapshot_with_config(ops: &[WriteOp], overlay: OverlayConfig) -> ShardSnapshot {
         let base: BaseIndex = Arc::new(GridIndex::build(scattered(300, 7), 6).unwrap());
-        let clean = ShardSnapshot::clean(base, 0, overlay);
-        let mut delta = clean.delta().clone();
-        for op in ops {
-            delta.apply(op, |id| clean.base_ids().get().contains_key(&id));
-        }
-        clean.with_delta(delta, 1)
+        ShardSnapshot::clean(base, 0, overlay).apply_batch(ops, 1).0
     }
 
     fn snapshot_with(ops: &[WriteOp]) -> ShardSnapshot {
         snapshot_with_config(ops, OverlayConfig::default())
+    }
+
+    /// SplitMix64: a seeded, dependency-free op generator.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// `len` random ops over a pool of about `len / 3` ids, half of them
+    /// base ids (0..300) and half overlay-only ids, so ids repeat within a
+    /// batch; one op in twenty removes an id no batch ever writes.
+    fn random_batch(rng: &mut SplitMix, len: usize) -> Vec<WriteOp> {
+        let pool = (len as u64 / 3).max(4);
+        (0..len)
+            .map(|_| {
+                let slot = rng.below(pool);
+                let id = if slot % 2 == 0 {
+                    (slot / 2 * 7) % 300
+                } else {
+                    10_000 + slot / 2
+                };
+                match rng.below(20) {
+                    0 => WriteOp::Remove(1_000_000 + rng.below(50)),
+                    1..=7 => WriteOp::Remove(id),
+                    _ => WriteOp::Upsert(Point::new(
+                        id,
+                        rng.below(10_000) as f64 * 0.011,
+                        rng.below(10_000) as f64 * 0.011,
+                    )),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_apply_equals_the_per_op_fold() {
+        let base_points = scattered(300, 7);
+        for len in [1usize, 64, 5_000] {
+            for seed in 0..6u64 {
+                let mut rng = SplitMix(seed * 1_000 + len as u64);
+                let base: BaseIndex = Arc::new(GridIndex::build(base_points.clone(), 6).unwrap());
+                let mut snap = ShardSnapshot::clean(base, 0, OverlayConfig::default());
+                let mut oracle = Delta::new();
+                let base_has = |id: PointId| id < 300;
+                // Successive batches exercise the merge against a non-empty
+                // delta and re-filtering of already filtered blocks.
+                for round in 1..=4u64 {
+                    let mut ops = random_batch(&mut rng, len);
+                    if round == 2 && len > 1 {
+                        // Upsert-then-remove of a base and an overlay id.
+                        ops[0] = WriteOp::Upsert(Point::new(21, 1.0, 1.0));
+                        ops[len - 1] = WriteOp::Remove(21);
+                        ops.push(WriteOp::Upsert(Point::new(20_000, 2.0, 2.0)));
+                        ops.push(WriteOp::Remove(20_000));
+                    }
+                    let expected: Vec<bool> =
+                        ops.iter().map(|op| oracle.apply(op, base_has)).collect();
+                    let before = snap.delta().deletes().to_vec();
+                    let applied = snap.delta().apply_batch(&ops, base_has);
+                    let case = format!("len {len} seed {seed} round {round}");
+                    assert_eq!(applied.changed, expected, "{case}: changed flags");
+                    assert_eq!(applied.delta.inserts(), oracle.inserts(), "{case}: inserts");
+                    assert_eq!(applied.delta.deletes(), oracle.deletes(), "{case}: deletes");
+                    let fresh: Vec<PointId> = oracle
+                        .deletes()
+                        .iter()
+                        .copied()
+                        .filter(|id| before.binary_search(id).is_err())
+                        .collect();
+                    assert_eq!(applied.tombstoned, fresh, "{case}: new tombstones");
+
+                    let (next, changed) = snap.apply_batch(&ops, round);
+                    assert_eq!(changed, expected, "{case}: snapshot changed flags");
+                    next.check_overlay_invariants()
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    let mut visible = next.all_points();
+                    visible.sort_by_key(|p| p.id);
+                    let mut want: Vec<Point> = base_points
+                        .iter()
+                        .filter(|p| !oracle.is_deleted(p.id))
+                        .chain(oracle.inserts())
+                        .copied()
+                        .collect();
+                    want.sort_by_key(|p| p.id);
+                    assert_eq!(visible, want, "{case}: visible point set");
+                    assert_eq!(next.num_points(), want.len(), "{case}: point count");
+                    snap = next;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dense_block_losing_most_of_its_points_is_refiltered_exactly() {
+        // One base block of 4,000 points; two batches tombstone 3,500 of
+        // them, the second re-filtering the first one's filtered copy.
+        let points = scattered(4_000, 11);
+        let base: BaseIndex = Arc::new(GridIndex::build(points.clone(), 1).unwrap());
+        assert_eq!(base.num_blocks(), 1);
+        let gone = |id: PointId| id % 8 != 0;
+        let removes = |range: std::ops::Range<PointId>| -> Vec<WriteOp> {
+            range.filter(|&id| gone(id)).map(WriteOp::Remove).collect()
+        };
+        let snap = ShardSnapshot::clean(base, 0, OverlayConfig::default());
+        let (snap, changed) = snap.apply_batch(&removes(0..2_000), 1);
+        assert!(changed.iter().all(|&c| c));
+        let (snap, changed) = snap.apply_batch(&removes(1_000..4_000), 2);
+        assert_eq!(changed.iter().filter(|&&c| c).count(), 1_750);
+        let want: Vec<Point> = points.into_iter().filter(|p| !gone(p.id)).collect();
+        let mut kept: Vec<Point> = snap.block_points(0).iter().collect();
+        kept.sort_by_key(|p| p.id);
+        assert_eq!(kept, want);
+        assert_eq!(snap.blocks()[0].count, 500);
+        assert_eq!(snap.num_points(), 500);
+        check_index_invariants(&snap).unwrap();
     }
 
     #[test]

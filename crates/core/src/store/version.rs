@@ -32,17 +32,29 @@
 //!   append (the batch stays in the uncovered suffix) or after the publish
 //!   (the captured snapshot already contains the batch) — never in between,
 //!   so `covered_seq` can never claim an op the persisted base misses.
+//!
+//! # Cost of a batch
+//!
+//! Routing is one pass over the ops with a batch-local id → shard map
+//! (an [`IdMap`] pre-sized to the batch) plus, on each id's first touch, a
+//! `contains_id` probe of the shards' id → block maps. Each touched shard
+//! then applies its whole sub-batch at once
+//! ([`ShardSnapshot::apply_batch`], one sort-merge of the delta), so a
+//! shard's apply costs its sub-batch plus one copy of its delta, never a
+//! per-op pass over the delta. Compaction's tail replay uses the same
+//! apply. Recovery replays a relation's whole WAL suffix as one batch and
+//! reports the route and apply times in the `recovery` event.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::time::{Duration, Instant};
 
-use twoknn_geometry::{Point, PointId, Rect};
+use twoknn_geometry::{IdMap, Point, Rect};
 use twoknn_index::Metrics;
 
 use crate::exec::WorkerPool;
 
-use super::delta::{Delta, WriteOp};
+use super::delta::WriteOp;
 use super::overlay::OverlayConfig;
 use super::recover::RelationDurability;
 use super::shard::{RelationSnapshot, ShardConfig, ShardMap};
@@ -86,6 +98,11 @@ pub(crate) struct IngestReceipt {
     /// one, so later evaluations always cover earlier publishes; the receipt
     /// therefore does not carry the published snapshot itself.)
     pub prev: Arc<RelationSnapshot>,
+    /// Time spent routing the ops to per-shard sub-batches (including the
+    /// first build of any shard's lazy id → block map).
+    pub route: Duration,
+    /// Time spent applying the sub-batches to the shard snapshots.
+    pub apply: Duration,
 }
 
 /// A relation whose current snapshot is replaced, never mutated, stored as
@@ -305,8 +322,11 @@ impl VersionedRelation {
     /// is guaranteed to be in the replayed suffix and cleans up the
     /// duplicate here. After that first touch the id is in at most one
     /// shard, and the batch's own routing tracks it exactly.
-    pub(crate) fn ingest_replay(&self, ops: &[WriteOp]) {
-        self.ingest_full(ops, true);
+    ///
+    /// Returns the replay's route and apply times.
+    pub(crate) fn ingest_replay(&self, ops: &[WriteOp]) -> (Duration, Duration) {
+        let receipt = self.ingest_full(ops, true);
+        (receipt.route, receipt.apply)
     }
 
     fn ingest_full(&self, ops: &[WriteOp], replay: bool) -> IngestReceipt {
@@ -316,6 +336,7 @@ impl VersionedRelation {
             .unwrap_or_else(PoisonError::into_inner);
         let prev = self.load();
         let nshards = self.shards.len();
+        let started = Instant::now();
 
         // Route ops to per-shard sub-batches. Visibility is resolved against
         // the current shard snapshots (compaction never changes visibility,
@@ -323,7 +344,8 @@ impl VersionedRelation {
         // earlier ops.
         let shard_snaps: Vec<Arc<ShardSnapshot>> =
             self.shards.iter().map(ShardState::snapshot).collect();
-        let mut where_is: HashMap<PointId, Option<usize>> = HashMap::new();
+        let mut where_is: IdMap<Option<usize>> =
+            IdMap::with_capacity_and_hasher(ops.len(), Default::default());
         let mut sub: Vec<Vec<WriteOp>> = vec![Vec::new(); nshards];
         // Per op: the (shard, sub-batch index) of its primary sub-op, `None`
         // for ineffective removes that route nowhere.
@@ -338,10 +360,7 @@ impl VersionedRelation {
         // copies.
         let mut holders: Vec<usize> = Vec::new();
         for op in ops {
-            let id = match op {
-                WriteOp::Upsert(p) => p.id,
-                WriteOp::Remove(id) => *id,
-            };
+            let id = op.id();
             holders.clear();
             match where_is.get(&id) {
                 Some(loc) => holders.extend(*loc),
@@ -378,6 +397,9 @@ impl VersionedRelation {
             }
         }
 
+        let routed = Instant::now();
+        let route = routed - started;
+
         // Apply the sub-batches under the affected shards' writer locks
         // (ascending order), holding them through the publish.
         struct Applied<'a> {
@@ -396,11 +418,11 @@ impl VersionedRelation {
             let state = &self.shards[s];
             let mut writer = state.writer.lock().unwrap_or_else(PoisonError::into_inner);
             let cur = state.snapshot();
-            let (snapshot, outcome) = cur.apply_batch(batch, cur.version() + 1);
+            let (snapshot, changed) = cur.apply_batch(batch, cur.version() + 1);
             // Only ops that changed the visible set enter the log:
             // ineffective ops would replay as no-ops anyway, and skipping
             // them keeps the log proportional to real work.
-            for (op, changed) in batch.iter().zip(&outcome.changed) {
+            for (op, changed) in batch.iter().zip(&changed) {
                 if *changed {
                     writer.push(*op);
                 }
@@ -416,9 +438,10 @@ impl VersionedRelation {
             applied.push(Some(Applied {
                 _writer: writer,
                 snapshot: Arc::new(snapshot),
-                changed: outcome.changed,
+                changed,
             }));
         }
+        let apply = routed.elapsed();
 
         let changed: Vec<bool> = primary
             .iter()
@@ -466,6 +489,8 @@ impl VersionedRelation {
             changed,
             visible_before,
             prev,
+            route,
+            apply,
         }
     }
 
@@ -536,12 +561,7 @@ impl VersionedRelation {
         let snapshot = if writer.is_empty() {
             clean
         } else {
-            let mut delta = Delta::with_config(self.overlay);
-            for op in writer.iter() {
-                delta.apply(op, |id| clean.base_ids().get().contains_key(&id));
-            }
-            let version = clean.version();
-            clean.with_delta(delta, version)
+            clean.apply_batch(&writer, clean.version()).0
         };
         let _compose = self
             .compose_lock

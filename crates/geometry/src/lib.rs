@@ -17,11 +17,16 @@
 //! All distances are exposed both in squared form (cheap, used for ordering)
 //! and in Euclidean form (used where the paper adds distances together, e.g.
 //! the Block-Marking search threshold `r + d + f_farthest`).
+//!
+//! Beside [`PointId`] sit [`IdMap`] and [`IdSet`]: hash containers keyed by
+//! integer ids with a seeded one-multiply hasher ([`IdHasher`]) instead of
+//! SipHash.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod distance;
+mod idhash;
 mod point;
 mod predicate;
 mod rect;
@@ -29,6 +34,7 @@ mod rect;
 pub use distance::{
     baseline, euclidean, euclidean_sq, euclidean_sq_batch, maxdist, maxdist_sq, mindist, mindist_sq,
 };
+pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use point::{Point, PointId};
 pub use predicate::Predicate;
 pub use rect::Rect;

@@ -44,6 +44,19 @@ impl PointBlock {
         }
     }
 
+    /// A block over three owned columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the columns' lengths differ.
+    pub fn from_columns(ids: Vec<PointId>, xs: Vec<f64>, ys: Vec<f64>) -> Self {
+        assert!(
+            ids.len() == xs.len() && xs.len() == ys.len(),
+            "SoA columns must have equal lengths"
+        );
+        Self { ids, xs, ys }
+    }
+
     /// Columnarizes a row-oriented slice of points.
     pub fn from_points(points: &[Point]) -> Self {
         let mut block = Self::with_capacity(points.len());
@@ -219,6 +232,28 @@ impl<'a> BlockPoints<'a> {
         Point::new(self.ids[i], self.xs[i], self.ys[i])
     }
 
+    /// The view without the rows whose id `gone` accepts, in order: one pass
+    /// over the id column finds the removed rows, and the runs between them
+    /// are block-copied column by column.
+    ///
+    /// The columns' capacity is the kept count rounded up to a power of two,
+    /// the capacity a `collect` would have grown them to. A store re-filters
+    /// the same blocks batch after batch, freeing the previous copy each
+    /// time; with exact sizes the freed copies rarely fitted the next request
+    /// and fragmented the heap.
+    pub fn without_ids(&self, gone: impl Fn(PointId) -> bool) -> PointBlock {
+        let rows: Vec<usize> = (0..self.len()).filter(|&i| gone(self.ids[i])).collect();
+        let mut out = PointBlock::with_capacity((self.len() - rows.len()).next_power_of_two());
+        let mut from = 0;
+        for row in rows.into_iter().chain([self.len()]) {
+            out.ids.extend_from_slice(&self.ids[from..row]);
+            out.xs.extend_from_slice(&self.xs[from..row]);
+            out.ys.extend_from_slice(&self.ys[from..row]);
+            from = row + 1;
+        }
+        out
+    }
+
     /// Iterator over the points, reassembled by value.
     pub fn iter(&self) -> BlockPointsIter<'a> {
         BlockPointsIter {
@@ -313,6 +348,14 @@ mod tests {
     }
 
     #[test]
+    fn from_columns_takes_the_columns_as_they_are() {
+        let block = PointBlock::from_points(&pts(5));
+        let v = block.view();
+        let owned = PointBlock::from_columns(v.ids().to_vec(), v.xs().to_vec(), v.ys().to_vec());
+        assert_eq!(owned, block);
+    }
+
+    #[test]
     fn view_exposes_raw_columns() {
         let block = PointBlock::from_points(&pts(4));
         let v = block.view();
@@ -341,6 +384,18 @@ mod tests {
         assert_eq!(block.bounding().unwrap(), Rect::bounding(&input).unwrap());
         assert!(PointBlock::new().bounding().is_err());
         assert!(BlockPoints::empty().bounding().is_err());
+    }
+
+    #[test]
+    fn without_ids_keeps_order_and_columns() {
+        let input = pts(7);
+        let block = PointBlock::from_points(&input);
+        let gone = |id: PointId| [0, 3, 6, 99].contains(&id);
+        let kept = block.view().without_ids(gone);
+        let expected: Vec<Point> = input.iter().copied().filter(|p| !gone(p.id)).collect();
+        assert_eq!(kept.to_vec(), expected);
+        assert_eq!(block.view().without_ids(|_| false), block);
+        assert!(block.view().without_ids(|_| true).is_empty());
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use two_knn::core::joins2::{ChainedJoinQuery, UnchainedJoinQuery};
 use two_knn::core::plan::{Database, QuerySpec};
+use two_knn::core::select::KnnSelectQuery;
 use two_knn::core::select_join::{SelectInnerJoinQuery, SelectOuterJoinQuery};
 use two_knn::core::selects2::TwoSelectsQuery;
 use two_knn::core::store::{DurabilityConfig, ShardConfig, StoreConfig, SyncPolicy, WriteOp};
@@ -647,6 +648,136 @@ fn folded_replay_matches_a_never_crashed_instance() {
             visible_points(&db, "Objects"),
             expected,
             "reopen {reopen}: visible set diverged from the never-crashed twin"
+        );
+    }
+}
+
+/// A hot shard's folded replay: 48 batches of 64 ops, four in five of
+/// them upserts into one shard's cell, over a pool of 300 ids that move
+/// back and forth (within the hot shard and across shards), are removed
+/// and re-upserted. The hot shard compacts mid-stream (threshold 128)
+/// while the cold shards stay below the threshold, so shards persist at
+/// different WAL positions and the replay batch, which starts at the
+/// oldest one, sends the hot shard thousands of ops. On whatever pool `TWOKNN_THREADS` sizes, the
+/// reopened relation must equal the never-crashed twin point for point
+/// and query for query, and publish its replay once.
+#[test]
+fn hot_shard_folded_replay_matches_a_never_crashed_instance() {
+    let tmp = TempDir::new("hot");
+    let cfg = StoreConfig {
+        compaction_threshold: 128,
+        sharding: ShardConfig::per_axis(4),
+        durability: DurabilityConfig::at(tmp.path()),
+        ..StoreConfig::default()
+    };
+    let initial = scattered(3_000, 0, 21);
+    let sites = GridIndex::build(scattered(250, 50_000, 4), 6).unwrap();
+    let aux = GridIndex::build(scattered(120, 80_000, 9), 5).unwrap();
+    // The registration extent is about [0, 110]², so shard cells are about
+    // 27.5 wide and the hot region [2, 25]² lies inside shard 0.
+    let mut state = 0x5EED_u64;
+    let mut next = move |n: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    let mut hot_upserts = 0;
+    let batches: Vec<Vec<WriteOp>> = (0..48)
+        .map(|_| {
+            (0..64)
+                .map(|_| {
+                    let id = next(300) * 10;
+                    match next(20) {
+                        0 => WriteOp::Remove(id),
+                        1..=3 => WriteOp::Upsert(Point::new(
+                            id,
+                            next(110_000) as f64 * 0.001,
+                            next(110_000) as f64 * 0.001,
+                        )),
+                        _ => {
+                            hot_upserts += 1;
+                            WriteOp::Upsert(Point::new(
+                                id,
+                                2.0 + next(23_000) as f64 * 0.001,
+                                2.0 + next(23_000) as f64 * 0.001,
+                            ))
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    assert!(
+        hot_upserts >= 2_000,
+        "only {hot_upserts} ops target the hot shard"
+    );
+
+    let mut memory = Database::with_store_config(StoreConfig {
+        durability: DurabilityConfig::Disabled,
+        ..cfg.clone()
+    });
+    {
+        let mut durable = Database::with_store_config(cfg.clone());
+        for db in [&mut durable, &mut memory] {
+            db.register("Objects", GridIndex::build(initial.clone(), 8).unwrap());
+            db.register("Sites", sites.clone());
+            db.register("Aux", aux.clone());
+        }
+        durable.checkpoint();
+        for ops in &batches {
+            durable.ingest("Objects", ops).unwrap();
+            memory.ingest("Objects", ops).unwrap();
+        }
+        durable.pool().wait_idle();
+        assert!(durable.store_metrics().shards_compacted >= 1);
+        // Crash: dropped without a checkpoint.
+    }
+    memory.pool().wait_idle();
+
+    let mut specs = all_query_shapes();
+    for (i, (x, y)) in [(13.0, 13.0), (4.0, 22.0), (26.0, 26.0), (60.0, 15.0)]
+        .into_iter()
+        .enumerate()
+    {
+        specs.push(QuerySpec::KnnSelect {
+            relation: "Objects".into(),
+            query: KnnSelectQuery::new(8 + 8 * i, Point::anonymous(x, y)),
+        });
+    }
+    let covered = covered_seqs(&rel_dir(tmp.path(), "Objects"));
+    assert_eq!(
+        covered.iter().min(),
+        Some(&0),
+        "a cold shard never persisted"
+    );
+    assert!(
+        covered.iter().any(|&seq| seq > 0),
+        "the hot shard persisted"
+    );
+
+    let expected = visible_points(&memory, "Objects");
+    let db = Database::open(tmp.path(), cfg.clone()).unwrap();
+    let replayed = format!("({} op(s)) replayed", 48 * 64);
+    assert!(
+        db.drain_events()
+            .iter()
+            .any(|e| e.detail.contains(&replayed)),
+        "the whole WAL is one replay batch"
+    );
+    let snap = db.relation("Objects").unwrap();
+    snap.check_overlay_invariants().unwrap();
+    assert_eq!(snap.version(), 1, "the replayed suffix publishes once");
+    assert_eq!(
+        visible_points(&db, "Objects"),
+        expected,
+        "visible set diverged from the never-crashed twin"
+    );
+    for (i, spec) in specs.iter().enumerate() {
+        assert_eq!(
+            id_rows(&db.execute(spec).unwrap()),
+            id_rows(&memory.execute(spec).unwrap()),
+            "query #{i} diverged after recovery"
         );
     }
 }
